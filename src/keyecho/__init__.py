@@ -2,7 +2,7 @@
 
 Trains a per-user timing model from keystroke logs and recovers typed
 words from audio recordings of typing via sliding-window onset detection,
-candidate-tree search, and dictionary filtering.
+candidate search over per-interval key pairs, and dictionary filtering.
 """
 
 from .audio import AudioSignal, load_wav, ms_to_samples, write_wav

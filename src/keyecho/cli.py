@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
-(no candidates / not enough peaks), 2 I/O or parse error, 64 usage error.
+(no candidates, not enough peaks, too many candidates, frame longer than
+the audio), 2 I/O or parse error, 64 usage error.
 Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity.
 """
 
@@ -16,8 +17,7 @@ import click
 
 from . import evaluation, predictor, segmenter, synth
 from .audio import AudioSignal, load_wav, ms_to_samples, write_wav
-from .errors import (KeyEchoError, MalformedRow, NoCandidates, NotEnoughPeaks,
-                     CandidateExplosion)
+from .errors import KeyEchoError, MalformedRow
 from .keylog import parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
@@ -85,7 +85,8 @@ def cmd_train(keylogs, out):
 
 @cli.command("segment")
 @click.argument("audio", type=click.Path())
-@click.option("--k", required=True, type=int, help="Number of keystrokes.")
+@click.option("--k", required=True, type=click.IntRange(min=1),
+              help="Number of keystrokes.")
 @click.option("--out", required=True, type=click.Path(),
               help="Onsets CSV output path.")
 @click.option("--segments-dir", type=click.Path(), default=None,
@@ -128,7 +129,8 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms,
 @click.argument("audio", type=click.Path())
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--lexicon", "lexicon_path", required=True, type=click.Path())
-@click.option("--k", required=True, type=int, help="Number of keystrokes.")
+@click.option("--k", required=True, type=click.IntRange(min=2),
+              help="Number of keystrokes.")
 @click.option("--json", "as_json", is_flag=True, help="Emit full JSON result.")
 @_tolerance_options
 def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
@@ -146,7 +148,7 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
                                std_coeff=std_coeff, lexicon=lexicon)
     try:
         result = predictor.predict(model, signal, k, settings)
-    except (NoCandidates, NotEnoughPeaks, CandidateExplosion) as exc:
+    except KeyEchoError as exc:
         click.echo(f"prediction failed: {exc}", err=True)
         sys.exit(EXIT_PIPELINE)
     if as_json:

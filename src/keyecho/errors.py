@@ -69,7 +69,10 @@ class NoCandidates(KeyEchoError):
 
 
 class CandidateExplosion(KeyEchoError):
-    """Candidate tree exceeded the live-path budget."""
+    """The intervals admit more candidate words than the search will build.
+
+    Counted over the pruned lattice, before any word is built.
+    """
 
 
 # --- lexicon ---

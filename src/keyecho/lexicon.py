@@ -12,7 +12,6 @@ _WORD_RE = re.compile(r"^[a-z]+$")
 @dataclass(frozen=True)
 class Lexicon:
     words: frozenset = field(repr=False)
-    by_length: dict = field(repr=False)
     dropped: int = 0
     source: str = ""
 
@@ -27,12 +26,7 @@ class Lexicon:
 
 
 def make_lexicon(entries, dropped: int = 0, source: str = "") -> Lexicon:
-    words = frozenset(entries)
-    by_length = {}
-    for w in words:
-        by_length.setdefault(len(w), set()).add(w)
-    return Lexicon(words=words, by_length=by_length, dropped=dropped,
-                   source=source)
+    return Lexicon(words=frozenset(entries), dropped=dropped, source=source)
 
 
 def load_lexicon(path) -> Lexicon:

@@ -86,10 +86,11 @@ def candidates(model: TimingModel, delta_ms: float, t_f: float,
     """
     if t_f < 0:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
-    out = []
-    for (key_a, key_b), s in sorted(model.stats.items()):
-        if key_a in allowed_first and s.mean_ms - t_f <= delta_ms <= s.mean_ms + t_f:
-            out.append((key_a, key_b, s.mean_ms))
+    out = [(key_a, key_b, s.mean_ms)
+           for (key_a, key_b), s in model.stats.items()
+           if key_a in allowed_first
+           and s.mean_ms - t_f <= delta_ms <= s.mean_ms + t_f]
+    out.sort()
     return out
 
 
@@ -132,6 +133,11 @@ def load_model(path) -> TimingModel:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
+    # The candidate search chains keys as the characters of a word.
+    bad = [key for pair in stored for key in pair
+           if not isinstance(key, str) or len(key) != 1]
+    if bad:
+        raise SchemaMismatch(f"{path}: key {bad[0]!r} is not one character")
 
     rebuilt = train(observations)
     if stored != rebuilt.stats:

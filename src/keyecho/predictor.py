@@ -1,14 +1,17 @@
-"""Candidate-tree search: intervals in, candidate words out.
+"""Candidate search: intervals in, candidate words out.
 
 For each observed interval the model yields the key pairs whose mean lies
-within the tolerance window; pairs chain into a tree whose root-to-leaf
-paths are the candidate words. Branches that cannot reach full depth are
-pruned, and an English word list filters the survivors.
+within the tolerance window. Those pairs form one successor map per
+interval, {key_a: [key_b, ...]}, and the candidate words are exactly the
+chains of keys through the successive maps. A backward pass drops the
+edges that cannot reach the last interval and counts the complete words,
+so the search gives up on an oversized word set before building any of
+it. An English word list filters the survivors.
 """
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import segmenter
 from .audio import AudioSignal, ms_to_samples
@@ -18,20 +21,17 @@ from .model import TimingModel, candidates, tolerance
 
 ALPHABET = frozenset(string.ascii_lowercase)
 
-# Live root-to-frontier paths allowed before construction aborts.
+# Candidate words allowed before build_tree gives up.
 MAX_LIVE_PATHS = 10_000_000
 
 
-@dataclass
-class Node:
-    value: str
-    children: dict = field(default_factory=dict)  # letter -> Node
-
-
 @dataclass(frozen=True)
-class CandidateTree:
-    root: Node
-    depth: int  # number of letters (k) in every surviving path
+class CandidateLattice:
+    """One {key_a: [key_b, ...]} map per interval, successor lists sorted.
+
+    Every listed edge lies on some complete word.
+    """
+    successors: tuple
 
 
 @dataclass(frozen=True)
@@ -71,88 +71,78 @@ class PredictionResult:
 
 
 def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
-               pct: float, std_coeff: float) -> CandidateTree:
-    """Chain candidate pairs for each interval into a pruned tree.
+               pct: float, std_coeff: float) -> CandidateLattice:
+    """Chain each interval's candidate pairs into a pruned successor lattice.
 
-    The first interval seeds a two-letter level under the root; every later
-    interval attaches its second letters beneath frontier nodes matching
-    the pair's first letter. Raises NoCandidates if any interval matches
-    nothing, and CandidateExplosion past MAX_LIVE_PATHS live paths.
+    The first interval's pairs start from any letter; each later interval
+    only from a second key of the one before. Raises NoCandidates if an
+    interval matches nothing, and CandidateExplosion if the lattice holds
+    more than MAX_LIVE_PATHS complete words, before any word is built.
     """
     if len(deltas) < 1:
         raise ValueError("need at least one interval")
 
-    root = Node("")
-    allowed = ALPHABET
-    frontier = []
+    steps = []
+    reach = ALPHABET
     for i, delta_ms in enumerate(deltas.deltas, start=1):
         t_f = tolerance(model, delta_ms, pct, std_coeff)
-        cands = candidates(model, delta_ms, t_f, allowed)
+        cands = candidates(model, delta_ms, t_f, reach)
         if not cands:
             raise NoCandidates(step=i, delta_ms=delta_ms, t_f=t_f)
-        if i == 1:
-            for key_a, key_b, _ in cands:
-                first = root.children.setdefault(key_a, Node(key_a))
-                child = first.children.setdefault(key_b, Node(key_b))
-                frontier.append(child)
-        else:
-            by_first = {}
-            for key_a, key_b, _ in cands:
-                by_first.setdefault(key_a, []).append(key_b)
-            next_frontier = []
-            for node in frontier:
-                for key_b in by_first.get(node.value, ()):
-                    child = node.children.setdefault(key_b, Node(key_b))
-                    next_frontier.append(child)
-            frontier = next_frontier
-        if len(frontier) > MAX_LIVE_PATHS:
-            raise CandidateExplosion(
-                f"{len(frontier)} live paths after interval #{i}"
-            )
-        allowed = frozenset(key_b for _, key_b, _ in cands)
+        succ = {}
+        for key_a, key_b, _ in cands:
+            succ.setdefault(key_a, []).append(key_b)
+        steps.append(succ)
+        reach = frozenset(key_b for _, key_b, _ in cands)
 
-    depth = len(deltas) + 1
-    _prune(root, depth, 0)
-    return CandidateTree(root=root, depth=depth)
-
-
-def _prune(node: Node, depth: int, level: int) -> bool:
-    """Drop children that cannot reach a leaf at exactly `depth` letters."""
-    if level == depth:
-        return True
-    for letter in list(node.children):
-        if not _prune(node.children[letter], depth, level + 1):
-            del node.children[letter]
-    return bool(node.children)
+    # Backward pass: completions[key] is the number of ways to finish a word
+    # from key, saturated so that long dense inputs stay cheap to count.
+    cap = MAX_LIVE_PATHS + 1
+    completions = dict.fromkeys(reach, 1)
+    for i in reversed(range(len(steps))):
+        kept, counts = {}, {}
+        for key_a, keys_b in steps[i].items():
+            live = [key_b for key_b in keys_b if key_b in completions]
+            if live:
+                kept[key_a] = live
+                counts[key_a] = min(cap, sum(completions[b] for b in live))
+        steps[i] = kept
+        completions = counts
+    if sum(completions.values()) > MAX_LIVE_PATHS:
+        raise CandidateExplosion(
+            f"more than {MAX_LIVE_PATHS} candidate words over "
+            f"{len(steps)} intervals"
+        )
+    return CandidateLattice(successors=tuple(steps))
 
 
-def enumerate_words(tree: CandidateTree) -> list:
-    """All root-to-leaf letter paths, lexicographically sorted."""
-    words = []
-    stack = [("", tree.root)]
-    while stack:
-        prefix, node = stack.pop()
-        word = prefix + node.value
-        if not node.children:
-            if word:
-                words.append(word)
-            continue
-        for letter in node.children:
-            stack.append((word, node.children[letter]))
+def enumerate_words(lattice: CandidateLattice) -> list:
+    """Every chain through the lattice as a word, lexicographically sorted.
+
+    Keys are single characters (load_model rejects any other), so a word's
+    last character is its last key. Words grow breadth-first from their
+    prefixes along sorted successor lists, so they come out in order and
+    the closing sort, which keeps that contract, costs one pass.
+    """
+    words = sorted(lattice.successors[0])
+    for succ in lattice.successors:
+        words = [w + b for w in words for b in succ[w[-1]]]
     words.sort()
-    assert all(w1 != w2 for w1, w2 in zip(words, words[1:])), \
-        "duplicate paths violate unique child keys"
     return words
 
 
 def filter_dictionary(words, lexicon: Lexicon) -> list:
-    """Stable subsequence of `words` present in the lexicon."""
-    return [w for w in words if lexicon.contains(w)]
+    """The words present in the lexicon, sorted.
+
+    Membership is exact: lexicon entries are lowercase, as are the keys of
+    a keylog.
+    """
+    return sorted(lexicon.words.intersection(words))
 
 
 def predict(model: TimingModel, signal: AudioSignal, k: int,
             settings: PredictSettings) -> PredictionResult:
-    """Full pipeline: energy, onsets, intervals, tree, dictionary filter."""
+    """Full pipeline: energy, onsets, intervals, lattice, dictionary filter."""
     if k < 2:
         raise ValueError(f"need k >= 2 keystrokes, got {k}")
     rate = signal.sample_rate
@@ -162,8 +152,9 @@ def predict(model: TimingModel, signal: AudioSignal, k: int,
     energies = segmenter.energy(signal, frame_len)
     onsets = segmenter.pick_onsets(energies, k, min_gap)
     deltas = segmenter.intervals(onsets)
-    tree = build_tree(model, deltas, settings.tolerance_pct, settings.std_coeff)
-    words_all = enumerate_words(tree)
+    lattice = build_tree(model, deltas, settings.tolerance_pct,
+                         settings.std_coeff)
+    words_all = enumerate_words(lattice)
     if settings.lexicon is not None:
         words_dict = filter_dictionary(words_all, settings.lexicon)
     else:

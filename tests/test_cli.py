@@ -107,6 +107,22 @@ class TestPredict:
                       "--lexicon", LEXICON_PATH, "--k", "40")
         assert res.returncode == 4
 
+    def test_frame_longer_than_audio_exit_four(self, workspace):
+        wav = workspace["synth"] / "word_001_work.wav"
+        res = run_cli("predict", wav, "--model", workspace["model"],
+                      "--lexicon", LEXICON_PATH, "--k", "4",
+                      "--frame-ms", "100000")
+        assert res.returncode == 4
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_k_below_two_is_usage_error(self, workspace, k):
+        wav = workspace["synth"] / "word_001_work.wav"
+        res = run_cli("predict", wav, "--model", workspace["model"],
+                      "--lexicon", LEXICON_PATH, "--k", k)
+        assert res.returncode == 64
+        assert "Traceback" not in res.stderr
+
     def test_json_output(self, workspace):
         wav = workspace["synth"] / "word_001_work.wav"
         res = run_cli("predict", wav, "--model", workspace["model"],
@@ -134,6 +150,13 @@ class TestSegment:
         res = run_cli("segment", wav, "--k", "99",
                       "--out", tmp_path / "x.csv")
         assert res.returncode == 4
+
+
+    def test_k_zero_is_usage_error(self, workspace, tmp_path):
+        wav = workspace["synth"] / "word_000_top.wav"
+        res = run_cli("segment", wav, "--k", "0", "--out", tmp_path / "x.csv")
+        assert res.returncode == 64
+        assert "Traceback" not in res.stderr
 
 
 class TestSynth:

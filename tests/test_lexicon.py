@@ -21,7 +21,7 @@ class TestLoadLexicon:
     def test_shipped_lexicon_has_study_words(self, small_lexicon, study_words):
         for word in study_words:
             assert small_lexicon.contains(word)
-        assert "work" in small_lexicon.by_length[4]
+        assert "work" in small_lexicon
         assert len(small_lexicon) == 121  # 21 study words + 100 decoys
 
     def test_duplicates_collapse(self, tmp_path):
@@ -37,14 +37,3 @@ class TestContains:
         assert lex.contains("TOP")
         assert not lex.contains("xyz")
         assert "top" in lex
-
-    def test_by_length_partitions_words(self, small_lexicon):
-        union = set()
-        total = 0
-        for bucket in small_lexicon.by_length.values():
-            union |= bucket
-            total += len(bucket)
-        assert union == set(small_lexicon.words)
-        assert total == len(small_lexicon)
-        for word in small_lexicon.words:
-            assert word in small_lexicon.by_length[len(word)]

@@ -171,3 +171,10 @@ class TestPersistence:
         path.write_text("not json")
         with pytest.raises(SchemaMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["sh", "", 5])
+    def test_key_not_one_character(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model(train([(key, "b", 100)]), path)
+        with pytest.raises(SchemaMismatch):
+            load_model(path)

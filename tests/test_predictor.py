@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from keyecho import synth
 from keyecho.errors import CandidateExplosion, NoCandidates
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
-from keyecho.predictor import (PredictSettings, build_tree, enumerate_words,
-                               filter_dictionary, predict)
+from keyecho.predictor import (ALPHABET, MAX_LIVE_PATHS, PredictSettings,
+                               build_tree, enumerate_words, filter_dictionary,
+                               predict)
 from keyecho.segmenter import IntervalSequence
 
 
@@ -67,6 +70,36 @@ class TestBuildTree:
         model = train(pairs)
         with pytest.raises(CandidateExplosion):
             build_tree(model, IntervalSequence((300, 300)), 0.05, 0.0)
+
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_packed_model_explodes_before_building(self, k):
+        # 26**k words (308,915,776 at k=6): the cap is met by a saturating
+        # count, not by building words.
+        model = train([(a, b, 300.0) for a in ALPHABET for b in ALPHABET])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CandidateExplosion) as exc:
+                build_tree(model, IntervalSequence((300.0,) * (k - 1)),
+                           0.05, 0.0)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 10 * 2**20
+        assert str(MAX_LIVE_PATHS) in str(exc.value)
+
+    def test_cap_counts_complete_words(self, monkeypatch):
+        # 36 pairs match the first interval, past the cap of 10, but only
+        # the 6 words ending in "az" complete.
+        monkeypatch.setattr("keyecho.predictor.MAX_LIVE_PATHS", 10)
+        pairs = [(a, b, 300.0) for a in "abcdef" for b in "abcdef"]
+        model = train(pairs + [("a", "z", 500.0)])
+        words = tree_words(model, (300.0, 500.0), 0.05, 0.0)
+        assert words == naive_words(model, (300.0, 500.0), 0.05, 0.0,
+                                    "abcdefz")
+        assert words == [x + "az" for x in "abcdef"]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
