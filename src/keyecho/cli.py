@@ -17,7 +17,7 @@ import click
 
 from . import evaluation, predictor, segmenter, synth
 from .audio import AudioSignal, load_wav, ms_to_samples, write_wav
-from .errors import KeyEchoError, MalformedRow
+from .errors import KeyEchoError
 from .keylog import parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
@@ -41,12 +41,16 @@ def _echo_config(command: str, **params) -> None:
 def _tolerance_options(fn):
     for opt in reversed([
         click.option("--frame-ms", default=100.0, show_default=True,
+                     type=click.FloatRange(min=0, min_open=True),
                      help="Sliding-window frame length in ms."),
         click.option("--min-gap-ms", default=100.0, show_default=True,
+                     type=click.FloatRange(min=0),
                      help="Extra zeroed margin around each detected peak, ms."),
         click.option("--tolerance-pct", default=0.05, show_default=True,
+                     type=click.FloatRange(min=0),
                      help="Interval-matching range as a fraction of the interval."),
         click.option("--std-coeff", default=1.0, show_default=True,
+                     type=click.FloatRange(min=0),
                      help="Weight of the model ASD in the matching range."),
     ]):
         fn = opt(fn)
@@ -69,13 +73,7 @@ def cmd_train(keylogs, out):
     _echo_config("train", keylogs=list(keylogs), out=out)
     pairs = []
     for path in keylogs:
-        try:
-            session = parse_keylog(path)
-        except FileNotFoundError:
-            raise click.ClickException(f"cannot read {path}")
-        except MalformedRow as exc:
-            raise click.ClickException(str(exc))
-        pairs.extend(session_to_pairs(session))
+        pairs.extend(session_to_pairs(_load(parse_keylog, path)))
     model = train(pairs)
     save_model(model, out)
     click.echo(f"pairs: {model.pair_count}  observations: "
@@ -98,7 +96,7 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms,
     _echo_config("segment", audio=audio, k=k, out=out,
                  segments_dir=segments_dir, frame_ms=frame_ms,
                  min_gap_ms=min_gap_ms)
-    signal = _load_audio(audio)
+    signal = _load(load_wav, audio)
     frame_len = ms_to_samples(frame_ms, signal.sample_rate)
     min_gap = ms_to_samples(min_gap_ms, signal.sample_rate)
     try:
@@ -140,9 +138,9 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
                  lexicon=lexicon_path, k=k, frame_ms=frame_ms,
                  min_gap_ms=min_gap_ms, tolerance_pct=tolerance_pct,
                  std_coeff=std_coeff, json=as_json)
-    model = _load_model(model_path)
-    lexicon = _load_lexicon(lexicon_path)
-    signal = _load_audio(audio)
+    model = _load(load_model, model_path)
+    lexicon = _load(load_lexicon, lexicon_path)
+    signal = _load(load_wav, audio)
     settings = PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                                tolerance_pct=tolerance_pct,
                                std_coeff=std_coeff, lexicon=lexicon)
@@ -226,7 +224,7 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
 @click.option("--trials-per-word", default=3, show_default=True)
 @click.option("--sample-rate", default=1000, show_default=True, type=int)
 @click.option("--jobs", default=os.cpu_count() or 1, show_default="cpu count",
-              type=int)
+              type=click.IntRange(min=1))
 @_tolerance_options
 def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
              trials_per_word, sample_rate, jobs, frame_ms, min_gap_ms,
@@ -240,7 +238,7 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
                  trials_per_word=trials_per_word, sample_rate=sample_rate,
                  jobs=jobs, frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                  tolerance_pct=tolerance_pct, std_coeff=std_coeff)
-    lexicon = _load_lexicon(lexicon_path)
+    lexicon = _load(load_lexicon, lexicon_path)
     predict_settings = PredictSettings(
         frame_ms=frame_ms, min_gap_ms=min_gap_ms,
         tolerance_pct=tolerance_pct, std_coeff=std_coeff, lexicon=lexicon)
@@ -278,7 +276,7 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
 def cmd_model_inspect(model_path):
     """Print the per-pair analysis table of a trained model."""
     _echo_config("model-inspect", model=model_path)
-    model = _load_model(model_path)
+    model = _load(load_model, model_path)
     click.echo(f"{'pair':>6}  {'mean_ms':>10}  {'std_ms':>10}  {'count':>6}")
     for (a, b), s in sorted(model.stats.items()):
         click.echo(f"{a + b:>6}  {s.mean_ms:>10.3f}  {s.std_ms:>10.3f}  "
@@ -287,29 +285,13 @@ def cmd_model_inspect(model_path):
     sys.exit(EXIT_OK)
 
 
-def _load_audio(path):
+def _load(loader, path):
+    """Run a file loader; unreadable, undecodable or invalid input exits 2."""
     try:
-        return load_wav(path)
-    except FileNotFoundError:
-        raise click.ClickException(f"cannot read {path}")
-    except KeyEchoError as exc:
-        raise click.ClickException(str(exc))
-
-
-def _load_model(path):
-    try:
-        return load_model(path)
-    except FileNotFoundError:
-        raise click.ClickException(f"cannot read {path}")
-    except KeyEchoError as exc:
-        raise click.ClickException(str(exc))
-
-
-def _load_lexicon(path):
-    try:
-        return load_lexicon(path)
-    except FileNotFoundError:
-        raise click.ClickException(f"cannot read {path}")
+        return loader(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise click.ClickException(f"cannot read {path}: {reason}")
     except KeyEchoError as exc:
         raise click.ClickException(str(exc))
 

@@ -66,6 +66,19 @@ class TestTrain:
         assert res.returncode == 2
         assert str(missing) in res.stderr
 
+    def test_non_utf8_keylog_exit_two(self, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"key,press_ms\n\xff\xfe\n")
+        res = run_cli("train", log, "--out", tmp_path / "m.json")
+        assert res.returncode == 2
+        assert str(log) in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_directory_keylog_exit_two(self, tmp_path):
+        res = run_cli("train", tmp_path, "--out", tmp_path / "m.json")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+
     def test_echoes_run_config(self, workspace):
         out = workspace["root"] / "model3.json"
         res = run_cli("train", workspace["synth"] / "keylog.csv", "--out", out)
@@ -123,6 +136,25 @@ class TestPredict:
         assert res.returncode == 64
         assert "Traceback" not in res.stderr
 
+    def test_zero_min_gap_recovers_word(self, workspace):
+        wav = workspace["synth"] / "word_001_work.wav"
+        res = run_cli("predict", wav, "--model", workspace["model"],
+                      "--lexicon", LEXICON_PATH, "--k", "4",
+                      "--min-gap-ms", "0")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "work"
+
+    @pytest.mark.parametrize("which", ["audio", "model", "lexicon"])
+    def test_directory_input_exit_two(self, workspace, tmp_path, which):
+        paths = {"audio": workspace["synth"] / "word_001_work.wav",
+                 "model": workspace["model"], "lexicon": LEXICON_PATH}
+        paths[which] = tmp_path
+        res = run_cli("predict", paths["audio"], "--model", paths["model"],
+                      "--lexicon", paths["lexicon"], "--k", "4")
+        assert res.returncode == 2
+        assert f"cannot read {tmp_path}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_json_output(self, workspace):
         wav = workspace["synth"] / "word_001_work.wav"
         res = run_cli("predict", wav, "--model", workspace["model"],
@@ -157,6 +189,53 @@ class TestSegment:
         res = run_cli("segment", wav, "--k", "0", "--out", tmp_path / "x.csv")
         assert res.returncode == 64
         assert "Traceback" not in res.stderr
+
+    def test_zero_min_gap_picks_distinct_onsets(self, workspace, tmp_path):
+        wav = workspace["synth"] / "word_000_top.wav"
+        out = tmp_path / "onsets.csv"
+        res = run_cli("segment", wav, "--k", "3", "--out", out,
+                      "--min-gap-ms", "0")
+        assert res.returncode == 0, res.stderr
+        samples = [int(l.split(",")[1]) for l in
+                   out.read_text().splitlines()[1:]]
+        assert len(samples) == 3 and samples == sorted(set(samples))
+
+
+# Option values outside their documented range, per command.
+BAD_OPTIONS = [
+    ("segment", "--frame-ms", "0"),
+    ("segment", "--frame-ms", "-1"),
+    ("segment", "--min-gap-ms", "-5"),
+    ("segment", "--tolerance-pct", "-1"),
+    ("segment", "--std-coeff", "-0.5"),
+    ("predict", "--frame-ms", "0"),
+    ("predict", "--min-gap-ms", "-5"),
+    ("predict", "--tolerance-pct", "-1"),
+    ("predict", "--std-coeff", "-1"),
+    ("eval", "--jobs", "0"),
+    ("eval", "--jobs", "-2"),
+    ("eval", "--frame-ms", "0"),
+    ("eval", "--tolerance-pct", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", BAD_OPTIONS)
+def test_out_of_range_option_is_usage_error(workspace, tmp_path, command,
+                                            option, value):
+    wav = workspace["synth"] / "word_001_work.wav"
+    base = {
+        "segment": ["segment", wav, "--k", "4", "--out", tmp_path / "x.csv"],
+        "predict": ["predict", wav, "--model", workspace["model"],
+                    "--lexicon", LEXICON_PATH, "--k", "4"],
+        "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
+                 "--out", tmp_path / "report", "--jobs", "1"],
+    }[command]
+    res = run_cli(*base, option, value)
+    assert res.returncode == 64
+    assert option in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "report").exists()
 
 
 class TestSynth:

@@ -1,10 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal
 from keyecho.errors import FrameTooLong, NotEnoughPeaks, TooFewOnsets
 from keyecho.segmenter import (EnergyArray, OnsetList, energy,
                                extract_segments, intervals, pick_onsets)
+
+
+def argmax_loop_onsets(values, frame_len, k, min_gap):
+    """Reference picker: one full-array argmax per onset (min_gap >= 1).
+
+    Returns the sorted onsets, or the NotEnoughPeaks message.
+    """
+    remaining = np.array(values, dtype=np.float64)
+    found = []
+    for n in range(k):
+        idx = int(np.argmax(remaining))
+        if remaining[idx] <= 0.0:
+            return f"only {n} nonzero peaks available, {k} keystrokes requested"
+        found.append(idx)
+        lo = max(0, idx - min_gap + 1)
+        hi = min(len(remaining), idx + frame_len + min_gap)
+        remaining[lo:hi] = 0.0
+    return tuple(sorted(found))
+
+
+def block_picker_onsets(values, frame_len, k, min_gap):
+    arr = EnergyArray(np.array(values, dtype=np.float64), frame_len, 1000)
+    try:
+        return pick_onsets(arr, k, min_gap).onsets
+    except NotEnoughPeaks as exc:
+        return str(exc)
+
+
+@st.composite
+def energy_cases(draw):
+    """Tie-heavy integer energies with zero runs, sized near block edges."""
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(0, 4), min_size=1,
+                                        max_size=64)), dtype=float)
+    else:
+        n = draw(st.one_of(
+            st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 3072, 3073]),
+            st.integers(65, 3500)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(0, draw(st.integers(1, 4)) + 1, n).astype(float)
+        for _ in range(draw(st.integers(0, 4))):
+            start = int(rng.integers(0, n))
+            values[start:start + int(rng.integers(1, 1500))] = 0.0
+    frame_len = draw(st.integers(1, 1200))
+    min_gap = draw(st.integers(1, 1200))
+    k = draw(st.integers(1, 40))
+    return values, frame_len, k, min_gap
 
 
 def direct_energy(samples, frame_len):
@@ -96,6 +145,59 @@ class TestPickOnsets:
                              k=4, min_gap=gap)
         assert all(abs(b - s) <= frame // 10
                    for b, s in zip(onsets.onsets, starts))
+
+    def test_zero_min_gap_zeroes_the_picked_window(self):
+        arr = EnergyArray(np.array([0, 5, 0, 3, 0], dtype=float), 1, 1000)
+        assert pick_onsets(arr, k=2, min_gap=0).onsets == (1, 3)
+
+    def test_zero_min_gap_runs_out_of_peaks(self):
+        arr = EnergyArray(np.array([0, 5, 4, 0], dtype=float), 2, 1000)
+        with pytest.raises(NotEnoughPeaks, match="only 1 nonzero peaks"):
+            pick_onsets(arr, k=2, min_gap=0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "close keystrokes: the later click is reported at the edge of the "
+        "first pick's zeroed span; see the pick_onsets FOUND line in "
+        "CHANGES.md"))
+    def test_close_keystrokes_keep_their_onsets(self):
+        rate, frame = 8000, 800
+        sig = np.zeros(rate)
+        for start, amp in [(800, 0.9), (2000, 0.5)]:  # 100 ms and 250 ms
+            sig[start:start + frame] = np.linspace(amp, amp / 10, frame)
+        onsets = pick_onsets(energy(AudioSignal(sig, rate), frame),
+                             k=2, min_gap=frame)
+        assert onsets.onsets_ms == (100.0, 250.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(energy_cases())
+    def test_matches_argmax_loop(self, case):
+        values, frame_len, k, min_gap = case
+        assert block_picker_onsets(values, frame_len, k, min_gap) == \
+            argmax_loop_onsets(values, frame_len, k, min_gap)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2048, 4097])
+    def test_matches_argmax_loop_across_block_edges(self, n):
+        # Equal peaks on both sides of every block edge, with spans that
+        # cross the edges, so ties and partial-block updates are exercised.
+        values = np.zeros(n)
+        for edge in range(0, n, 1024):
+            values[max(0, edge - 3):edge + 3] = 7.0
+        values[n // 3] = 7.0
+        for frame_len, min_gap in [(1, 1), (3, 2), (5, 1000), (1100, 1)]:
+            for k in (1, 4, 12):
+                assert block_picker_onsets(values, frame_len, k, min_gap) == \
+                    argmax_loop_onsets(values, frame_len, k, min_gap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(energy_cases())
+    def test_zero_min_gap_never_repeats_an_onset(self, case):
+        values, frame_len, k, _ = case
+        got = block_picker_onsets(values, frame_len, k, 0)
+        if isinstance(got, str):
+            assert got.endswith(f"{k} keystrokes requested")
+        else:
+            assert len(got) == len(set(got)) == k
+            assert all(values[b] > 0 for b in got)
 
     def test_onsets_separated_by_more_than_frame(self):
         rng = np.random.default_rng(11)
