@@ -33,8 +33,10 @@ class AudioSignal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if samples.size and (samples.min() < -1.0 or samples.max() > 1.0):
-            raise ValueError("samples must lie in [-1, +1]")
+        # Written so that NaN, which fails every comparison, is rejected.
+        if samples.size and not (samples.min() >= -1.0
+                                 and samples.max() <= 1.0):
+            raise ValueError("samples must be finite and lie in [-1, +1]")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -71,23 +73,28 @@ def _decode(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
         if bits != 32:
             raise UnsupportedEncoding(f"{bits}-bit float WAV not supported")
         samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise MalformedContainer("float WAV holds NaN or infinite samples")
         return np.clip(samples, -1.0, 1.0)
     if audio_format != _WAVE_FORMAT_PCM:
         raise UnsupportedEncoding(f"compressed WAV (format tag 0x{audio_format:04x})")
+    # Each full scale is a power of two, so multiplying the integers by its
+    # exact reciprocal converts and scales in one step, with the same bits
+    # as converting first and dividing.
     if bits == 8:
         # 8-bit PCM is unsigned with a 128 offset.
-        return (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+        return (np.frombuffer(raw, dtype=np.uint8) - 128.0) * (1 / 128)
     if bits == 16:
-        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        return np.frombuffer(raw, dtype="<i2") * (1 / 32768)
     if bits == 24:
         b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
         vals = (b[:, 0].astype(np.int32)
                 | (b[:, 1].astype(np.int32) << 8)
                 | (b[:, 2].astype(np.int32) << 16))
         vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        return vals.astype(np.float64) / float(1 << 23)
+        return vals * (1 / (1 << 23))
     if bits == 32:
-        return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
+        return np.frombuffer(raw, dtype="<i4") * (1 / (1 << 31))
     raise UnsupportedEncoding(f"{bits}-bit PCM not supported")
 
 

@@ -2,15 +2,18 @@
 
 Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
 (no candidates, not enough peaks, too many candidates, frame longer than
-the audio), 2 I/O or parse error, 64 usage error.
+the audio or shorter than one sample), 2 I/O or parse error (unreadable
+input, unwritable output), 64 usage error (including nan or inf options).
 Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity.
 """
 
 import csv
 import json
 import logging
+import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -38,19 +41,27 @@ def _echo_config(command: str, **params) -> None:
     click.echo(json.dumps(doc, sort_keys=True), err=True)
 
 
+def _finite(ctx, param, value):
+    """Reject nan and inf, which pass click's range checks."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _tolerance_options(fn):
     for opt in reversed([
         click.option("--frame-ms", default=100.0, show_default=True,
                      type=click.FloatRange(min=0, min_open=True),
+                     callback=_finite,
                      help="Sliding-window frame length in ms."),
         click.option("--min-gap-ms", default=100.0, show_default=True,
-                     type=click.FloatRange(min=0),
+                     type=click.FloatRange(min=0), callback=_finite,
                      help="Extra zeroed margin around each detected peak, ms."),
         click.option("--tolerance-pct", default=0.05, show_default=True,
-                     type=click.FloatRange(min=0),
+                     type=click.FloatRange(min=0), callback=_finite,
                      help="Interval-matching range as a fraction of the interval."),
         click.option("--std-coeff", default=1.0, show_default=True,
-                     type=click.FloatRange(min=0),
+                     type=click.FloatRange(min=0), callback=_finite,
                      help="Weight of the model ASD in the matching range."),
     ]):
         fn = opt(fn)
@@ -75,7 +86,8 @@ def cmd_train(keylogs, out):
     for path in keylogs:
         pairs.extend(session_to_pairs(_load(parse_keylog, path)))
     model = train(pairs)
-    save_model(model, out)
+    with _writing(out):
+        save_model(model, out)
     click.echo(f"pairs: {model.pair_count}  observations: "
                f"{len(model.observations)}  asd_ms: {model.asd_ms:.4f}")
     sys.exit(EXIT_OK)
@@ -99,13 +111,10 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms,
     signal = _load(load_wav, audio)
     frame_len = ms_to_samples(frame_ms, signal.sample_rate)
     min_gap = ms_to_samples(min_gap_ms, signal.sample_rate)
-    try:
+    with _pipeline("segmentation"):
         energies = segmenter.energy(signal, frame_len)
         onsets = segmenter.pick_onsets(energies, k, min_gap)
-    except KeyEchoError as exc:
-        click.echo(f"segmentation failed: {exc}", err=True)
-        sys.exit(EXIT_PIPELINE)
-    with open(out, "w", newline="") as fh:
+    with _writing(out), open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "onset_sample", "onset_ms", "delta_ms"])
         prev_ms = None
@@ -115,10 +124,12 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms,
             prev_ms = ms
     if segments_dir is not None:
         seg_dir = Path(segments_dir)
-        seg_dir.mkdir(parents=True, exist_ok=True)
-        for i, (lo, hi) in enumerate(segmenter.extract_segments(signal, onsets)):
-            chunk = AudioSignal(signal.samples[lo:hi], signal.sample_rate)
-            write_wav(seg_dir / f"segment_{i:03d}.wav", chunk)
+        with _writing(seg_dir):
+            seg_dir.mkdir(parents=True, exist_ok=True)
+            for i, (lo, hi) in enumerate(
+                    segmenter.extract_segments(signal, onsets)):
+                chunk = AudioSignal(signal.samples[lo:hi], signal.sample_rate)
+                write_wav(seg_dir / f"segment_{i:03d}.wav", chunk)
     click.echo(f"wrote {len(onsets)} onsets to {out}")
     sys.exit(EXIT_OK)
 
@@ -144,11 +155,8 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
     settings = PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                                tolerance_pct=tolerance_pct,
                                std_coeff=std_coeff, lexicon=lexicon)
-    try:
+    with _pipeline("prediction"):
         result = predictor.predict(model, signal, k, settings)
-    except KeyEchoError as exc:
-        click.echo(f"prediction failed: {exc}", err=True)
-        sys.exit(EXIT_PIPELINE)
     if as_json:
         click.echo(result.to_json())
     else:
@@ -186,7 +194,8 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
                                       spacing_ms=spacing_ms, std_ms=pair_std,
                                       noise_std=noise_std, seed=seed)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     syn = synth.synth_session(profile, word_list)
     write_keylog(out_dir / "keylog.csv", syn.session)
     # Recorded config omits the output path so identical seeds give
@@ -251,9 +260,11 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
         model = evaluation.train_from_profile(profile, word_list, train_reps)
         trials = evaluation.make_trials(profile, word_list, sample_rate,
                                         reps=trials_per_word)
-        report = evaluation.run_eval(model, lexicon, trials, predict_settings,
-                                     jobs=jobs)
-        evaluation.write_report(report, out)
+        with _pipeline("eval"):
+            report = evaluation.run_eval(model, lexicon, trials,
+                                         predict_settings, jobs=jobs)
+        with _writing(out):
+            evaluation.write_report(report, out)
         click.echo(f"success_rate: {report.success_rate:.4f}  "
                    f"ambiguity: {report.ambiguity:.2f}  "
                    f"asd_ms: {report.asd_ms:.4f}")
@@ -262,9 +273,11 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
             words=tuple(word_list), train_reps=train_reps,
             trials_per_word=trials_per_word, sample_rate=sample_rate,
             predict=predict_settings)
-        result = evaluation.asd_sweep(profiles, lexicon, sweep_settings,
-                                      jobs=jobs)
-        evaluation.write_sweep(result, out)
+        with _pipeline("eval"):
+            result = evaluation.asd_sweep(profiles, lexicon, sweep_settings,
+                                          jobs=jobs)
+        with _writing(out):
+            evaluation.write_sweep(result, out)
         for asd, rate in result.points:
             click.echo(f"asd_ms: {asd:.4f}  success_rate: {rate:.4f}")
         click.echo(f"pearson_r: {result.pearson_r:.4f}")
@@ -294,6 +307,26 @@ def _load(loader, path):
         raise click.ClickException(f"cannot read {path}: {reason}")
     except KeyEchoError as exc:
         raise click.ClickException(str(exc))
+
+
+@contextmanager
+def _writing(path):
+    """Guard writes to an output path; one that cannot be written exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise click.ClickException(f"cannot write {path}: {reason}")
+
+
+@contextmanager
+def _pipeline(stage):
+    """Guard pipeline steps; a KeyEchoError from them exits 4."""
+    try:
+        yield
+    except KeyEchoError as exc:
+        click.echo(f"{stage} failed: {exc}", err=True)
+        sys.exit(EXIT_PIPELINE)
 
 
 def main(argv=None) -> int:

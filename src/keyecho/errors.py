@@ -25,6 +25,10 @@ class FrameTooLong(KeyEchoError):
     """Sliding-window frame exceeds the signal length."""
 
 
+class FrameTooShort(KeyEchoError):
+    """Sliding-window frame rounds to no samples at the signal's rate."""
+
+
 class NotEnoughPeaks(KeyEchoError):
     """Fewer distinguishable energy peaks than requested keystrokes."""
 

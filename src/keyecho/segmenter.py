@@ -6,6 +6,16 @@ next onset and zeroes its neighborhood so one keystroke cannot be found
 twice. The picked window itself is always zeroed, even with no gap.
 Intervals between consecutive onsets feed the timing model.
 
+Each window is a difference of two prefix sums, split so that no rounding
+error builds up along them. |x| is scaled by 2^26 and split into its
+integer part and its fraction, both exactly. The integer parts are whole
+numbers below 2^26, so their prefix sums stay exact below 2^53; the
+fractions are below 1, so theirs round by well under 1e-12 in sample
+units. 16- and 24-bit PCM has no fraction at this scale, so its energies
+are exact and a block whose fractions are all zero skips their sums. The
+sums restart every _ENERGY_BLOCK windows, which bounds both the buffers
+and the prefix sums' length.
+
 Picking keeps the maximum of every block of _PICK_BLOCK windows, so a
 pick reads the block maxima and one block instead of the whole array,
 and zeroing recomputes only the blocks it touches: O(n + k * (n /
@@ -17,12 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioSignal
-from .errors import FrameTooLong, NotEnoughPeaks, TooFewOnsets
+from .errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
+                     TooFewOnsets)
 
-# Windows per block before the running sum is re-anchored with a fresh
-# exact summation. 1024 keeps the worst-case float drift below 1e-9 even
-# for all-ones signals.
-_RESYNC_WINDOWS = 1024
+# Windows per block of energy's prefix sums, or frame_len if longer, so
+# the overlap each block re-reads costs at most one block: O(n) in all.
+# A block reads fewer than 2 * max(_ENERGY_BLOCK, frame_len) samples, so
+# the integer sums stay exact (below 2^53) for any frame under 2^26
+# samples, and the buffers stay near a megabyte.
+_ENERGY_BLOCK = 32768
+
+# |x| is scaled by this power of two before the integer/fraction split;
+# 16- and 24-bit samples (k / 2^15, k / 2^23) become whole numbers.
+_SCALE = 2.0 ** 26
 
 # Windows per block of the maxima pick_onsets keeps. Each pick scans the
 # n / _PICK_BLOCK block maxima and one block, so 1024 keeps both scans
@@ -81,28 +98,53 @@ class IntervalSequence:
 def energy(signal: AudioSignal, frame_len: int) -> EnergyArray:
     """Sliding-window sum of absolute amplitude, one window per sample.
 
-    Uses a running sum re-anchored every _RESYNC_WINDOWS windows so each
-    value matches direct summation to within 1e-9 absolute.
+    In blocks of max(_ENERGY_BLOCK, frame_len) windows, each window is
+    (dW + dF) / 2^26, where dW and dF are differences of the block's prefix
+    sums of floor(|x| * 2^26) and of its remainder. dW is exact; dF and the
+    final addition keep each value within 1e-9 of direct summation for any
+    frame under 2^22 samples. On 16- and 24-bit PCM dF is 0 and is not
+    computed, and every value is exact.
     """
     n = len(signal)
     if frame_len <= 0:
-        raise ValueError(f"frame_len must be positive, got {frame_len}")
+        raise FrameTooShort(f"frame of {frame_len} samples at "
+                            f"{signal.sample_rate} Hz; need at least 1")
     if frame_len > n:
         raise FrameTooLong(f"frame_len {frame_len} exceeds signal length {n}")
 
+    # Scaled once for the whole signal, so the frame_len - 1 samples each
+    # block shares with the next are not scaled twice.
     a = np.abs(signal.samples)
+    a *= _SCALE
     n_windows = n - frame_len + 1
     out = np.empty(n_windows, dtype=np.float64)
-    for start in range(0, n_windows, _RESYNC_WINDOWS):
-        stop = min(start + _RESYNC_WINDOWS, n_windows)
-        base = float(np.sum(a[start:start + frame_len]))
-        out[start] = base
-        if stop - start > 1:
-            added = np.cumsum(a[start + frame_len:stop - 1 + frame_len])
-            removed = np.cumsum(a[start:stop - 1])
-            out[start + 1:stop] = base + added - removed
+    block = max(_ENERGY_BLOCK, frame_len)
+    # Scratch reused by every block: the split parts and a prefix-sum row.
+    span = min(block, n_windows) + frame_len - 1
+    whole, frac = np.empty(span), np.empty(span)
+    prefix = np.zeros(span + 1)
+    for start in range(0, n_windows, block):
+        stop = min(start + block, n_windows)
+        scaled = a[start:stop + frame_len - 1]
+        w = np.floor(scaled, out=whole[:len(scaled)])
+        f = np.subtract(scaled, w, out=frac[:len(scaled)])
+        _window_sums(w, frame_len, prefix, out=out[start:stop])
+        if f.any():
+            out[start:stop] += _window_sums(f, frame_len, prefix)
+    out *= 1.0 / _SCALE
     return EnergyArray(values=out, frame_len=frame_len,
                        sample_rate=signal.sample_rate)
+
+
+def _window_sums(values, frame_len, prefix, out=None):
+    """Sums of every frame_len run of values, as prefix-sum differences.
+
+    prefix is scratch of at least len(values) + 1 entries, the first 0.
+    """
+    end = len(values) + 1
+    np.cumsum(values, out=prefix[1:end])
+    return np.subtract(prefix[frame_len:end], prefix[:end - frame_len],
+                       out=out)
 
 
 def pick_onsets(energy_arr: EnergyArray, k: int, min_gap: int) -> OnsetList:

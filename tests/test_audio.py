@@ -84,6 +84,34 @@ class TestLoadWav:
         sig = load_wav(_write(tmp_path, raw))
         assert sig.samples.tolist() == [0.25, -0.5, 1.0]  # clipped
 
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32])
+    def test_pcm_scaling_matches_division(self, tmp_path, bits):
+        # Every 8- and 16-bit code; random and extreme 24- and 32-bit ones.
+        full = 1 << (bits - 1)
+        if bits <= 16:
+            ints = np.arange(-full, full)
+        else:
+            rng = np.random.default_rng(bits)
+            ints = np.concatenate([[-full, -full + 1, -1, 0, 1, full - 1],
+                                   rng.integers(-full, full, 20000)])
+        if bits == 8:
+            raw = (ints + 128).astype(np.uint8).tobytes()
+        else:
+            raw = (ints.astype("<i8").view(np.uint8).reshape(-1, 8)
+                   [:, :bits // 8].tobytes())
+        sig = load_wav(_write(tmp_path, make_wav_bytes(raw, bits=bits)))
+        want = ints.astype(np.float64) / float(full)
+        assert np.array_equal(sig.samples.view(np.uint64),
+                              want.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_float32_non_finite_rejected(self, tmp_path, bad):
+        frames = struct.pack("<3f", 0.25, bad, -0.5)
+        raw = make_wav_bytes(frames, bits=32, audio_format=3)
+        with pytest.raises(MalformedContainer, match="NaN or infinite"):
+            load_wav(_write(tmp_path, raw))
+
     def test_roundtrip_16bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         ints = rng.integers(-32768, 32768, 500).astype(np.int64)
@@ -114,6 +142,12 @@ class TestAudioSignal:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             AudioSignal(np.array([0.0, 1.5]), 1000)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AudioSignal(np.array([0.0, bad, 0.5]), 1000)
 
     def test_duration(self):
         sig = AudioSignal(np.zeros(500), 1000)

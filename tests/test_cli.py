@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import LEXICON_PATH
+from conftest import LEXICON_PATH, make_wav_bytes
 
 CLI = [sys.executable, "-m", "keyecho.cli"]
 
@@ -216,26 +217,93 @@ BAD_OPTIONS = [
     ("eval", "--jobs", "-2"),
     ("eval", "--frame-ms", "0"),
     ("eval", "--tolerance-pct", "-1"),
-]
+] + [(command, option, value)
+     for command in ("segment", "predict", "eval")
+     for option, value in [("--frame-ms", "nan"), ("--frame-ms", "inf"),
+                           ("--min-gap-ms", "nan"), ("--min-gap-ms", "inf")]]
 
 
-@pytest.mark.parametrize("command,option,value", BAD_OPTIONS)
-def test_out_of_range_option_is_usage_error(workspace, tmp_path, command,
-                                            option, value):
+def base_args(workspace, tmp_path, command):
     wav = workspace["synth"] / "word_001_work.wav"
-    base = {
+    return {
         "segment": ["segment", wav, "--k", "4", "--out", tmp_path / "x.csv"],
         "predict": ["predict", wav, "--model", workspace["model"],
                     "--lexicon", LEXICON_PATH, "--k", "4"],
         "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
                  "--out", tmp_path / "report", "--jobs", "1"],
     }[command]
-    res = run_cli(*base, option, value)
+
+
+@pytest.mark.parametrize("command,option,value", BAD_OPTIONS)
+def test_out_of_range_option_is_usage_error(workspace, tmp_path, command,
+                                            option, value):
+    res = run_cli(*base_args(workspace, tmp_path, command), option, value)
     assert res.returncode == 64
     assert option in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "predict", "eval"])
+def test_frame_below_one_sample_is_pipeline_error(workspace, tmp_path,
+                                                  command):
+    # 0.01 ms is 0.08 samples at the fixture's 8 kHz, 0.01 at eval's 1 kHz.
+    res = run_cli(*base_args(workspace, tmp_path, command),
+                  "--frame-ms", "0.01")
+    assert res.returncode == 4
+    assert "frame of 0 samples" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "train", "synth", "eval"])
+def test_unwritable_output_exit_two(workspace, tmp_path, command):
+    # A directory where a file is written, or a file where a directory is.
+    target = tmp_path / "taken"
+    if command in ("segment", "train"):
+        target.mkdir()
+    else:
+        target.write_text("")
+    args = {
+        "segment": ["segment", workspace["synth"] / "word_001_work.wav",
+                    "--k", "4"],
+        "train": ["train", workspace["synth"] / "keylog.csv"],
+        "synth": ["synth", "--words", "top"],
+        "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
+                 "--jobs", "1"],
+    }[command]
+    res = run_cli(*args, "--out", target)
+    assert res.returncode == 2
+    assert f"cannot write {target}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_segments_dir_that_is_a_file_exit_two(workspace, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    res = run_cli("segment", workspace["synth"] / "word_001_work.wav",
+                  "--k", "4", "--out", tmp_path / "x.csv",
+                  "--segments-dir", taken)
+    assert res.returncode == 2
+    assert f"cannot write {taken}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["segment", "predict"])
+def test_float_wav_with_nan_exit_two(workspace, tmp_path, command):
+    frames = np.zeros(800, dtype="<f4")
+    frames[100] = np.nan
+    wav = tmp_path / "nan.wav"
+    wav.write_bytes(make_wav_bytes(frames.tobytes(), bits=32, rate=8000,
+                                   audio_format=3))
+    args = base_args(workspace, tmp_path, command)
+    args[1] = wav
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "NaN or infinite" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 class TestSynth:

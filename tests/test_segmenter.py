@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal
-from keyecho.errors import FrameTooLong, NotEnoughPeaks, TooFewOnsets
+from keyecho.errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
+                            TooFewOnsets)
 from keyecho.segmenter import (EnergyArray, OnsetList, energy,
                                extract_segments, intervals, pick_onsets)
 
@@ -63,6 +66,71 @@ def direct_energy(samples, frame_len):
     return windows.sum(axis=1)
 
 
+def resync_loop_energy(samples, frame_len):
+    """Reference energy: a running sum re-anchored every 1024 windows.
+
+    Exact on 16- and 24-bit PCM grids, whose partial sums all fit in a
+    double; energy() must give the same bits there.
+    """
+    a = np.abs(np.asarray(samples, dtype=np.float64))
+    n_windows = len(a) - frame_len + 1
+    out = np.empty(n_windows, dtype=np.float64)
+    for start in range(0, n_windows, 1024):
+        stop = min(start + 1024, n_windows)
+        base = float(np.sum(a[start:start + frame_len]))
+        out[start] = base
+        if stop - start > 1:
+            added = np.cumsum(a[start + frame_len:stop - 1 + frame_len])
+            removed = np.cumsum(a[start:stop - 1])
+            out[start + 1:stop] = base + added - removed
+    return out
+
+
+# Lengths and frames at and around energy's 32768-window block edges.
+EDGE_SIZES = [1, 2, 1023, 32767, 32768, 32769, 40000, 65535, 65536, 65537,
+              70000]
+
+
+def _length_and_frame(draw, max_direct_work=None):
+    n = draw(st.one_of(st.integers(1, 3000), st.sampled_from(EDGE_SIZES)))
+    frames = [st.sampled_from([f for f in EDGE_SIZES + [n - 1, n]
+                               if 1 <= f <= n]),
+              st.integers(1, n)]
+    if max_direct_work is not None:
+        # Direct summation costs n * frame_len: keep frames short, or so
+        # long that few windows remain.
+        span = max(1, min(n, max_direct_work // n))
+        frames = [st.integers(1, span), st.integers(max(1, n - span + 1), n)]
+    return n, draw(st.one_of(*frames))
+
+
+@st.composite
+def pcm_signals(draw):
+    """Samples on the 16- or 24-bit PCM grid, full scale included."""
+    n, frame_len = _length_and_frame(draw)
+    full = 1 << draw(st.sampled_from([15, 23]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ints = rng.integers(-full, full + 1, n)
+    if draw(st.booleans()):  # sparse loud clicks over quiet noise
+        ints //= 256
+        ints[rng.integers(0, n, max(1, n // 5000))] = -full
+    return ints / full, frame_len
+
+
+@st.composite
+def float_signals(draw):
+    """Arbitrary doubles in [-1, 1], with runs of ±1 and of tiny values."""
+    n, frame_len = _length_and_frame(draw, max_direct_work=30_000_000)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, n)
+    for value in draw(st.lists(st.sampled_from([1.0, -1.0, 1e-300, 2.0**-30,
+                                                 1 - 2.0**-53]),
+                               max_size=3)):
+        start = int(rng.integers(0, n))
+        x[start:start + int(rng.integers(1, 5000))] = value
+    return x, frame_len
+
+
 class TestEnergy:
     def test_single_spike(self):
         sig = AudioSignal(np.array([0, 0, 1, 0, 0], dtype=float), 1000)
@@ -95,13 +163,55 @@ class TestEnergy:
         want = direct_energy(sig.samples, frame_len)
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_resync_boundary_matches_direct(self):
-        # Longer than one resync block, so the re-anchoring path is hit.
+    def test_matches_direct_across_32768_window_block_edges(self):
+        # Three blocks of prefix sums; windows on both sides of each edge.
         rng = np.random.default_rng(99)
-        sig = AudioSignal(rng.uniform(-1, 1, 5000), 44100)
+        sig = AudioSignal(rng.uniform(-1, 1, 70000), 44100)
         got = energy(sig, 64).values
         want = direct_energy(sig.samples, 64)
         assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_empty_frame_is_a_pipeline_error(self):
+        sig = AudioSignal(np.zeros(10), 8000)
+        with pytest.raises(FrameTooShort, match="0 samples at 8000 Hz"):
+            energy(sig, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pcm_signals())
+    def test_bit_identical_to_resync_loop_on_pcm_grids(self, case):
+        samples, frame_len = case
+        got = energy(AudioSignal(samples, 44100), frame_len).values
+        want = resync_loop_energy(samples, frame_len)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(float_signals())
+    def test_float_signals_within_1e9_of_direct(self, case):
+        samples, frame_len = case
+        got = energy(AudioSignal(samples, 44100), frame_len).values
+        want = direct_energy(samples, frame_len)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_long_float_signal_within_1e9_of_direct(self):
+        # 3M samples (68 s at 44.1 kHz). Checked against exactly rounded
+        # sums at every block edge and at random windows.
+        rng = np.random.default_rng(2024)
+        samples = rng.uniform(-1, 1, 3_000_000)
+        frame_len = 4410
+        got = energy(AudioSignal(samples, 44100), frame_len).values
+        edges = np.arange(0, len(got), 32768)
+        idx = np.unique(np.concatenate([
+            edges, edges[1:] - 1, rng.integers(0, len(got), 2000),
+            [len(got) - 1]]))
+        a = np.abs(samples)
+        want = np.array([math.fsum(a[i:i + frame_len]) for i in idx])
+        assert np.max(np.abs(got[idx] - want)) < 1e-9
+
+    @pytest.mark.parametrize("frame_len", [1, 4410, 40000, 3_000_000])
+    def test_all_ones_is_exactly_frame_len(self, frame_len):
+        got = energy(AudioSignal(np.ones(3_000_000), 44100), frame_len).values
+        assert len(got) == 3_000_000 - frame_len + 1
+        assert (got == frame_len).all()
 
 
 class TestPickOnsets:
