@@ -43,8 +43,9 @@ def _echo_config(command: str, **params) -> None:
 
 def _finite(ctx, param, value):
     """Reject nan and inf, which pass click's range checks."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number")
+    for v in value if param.multiple else (value,):
+        if not math.isfinite(v):
+            raise click.BadParameter(f"{v} is not a finite number")
     return value
 
 
@@ -170,16 +171,22 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
               help="Comma-separated words to synthesize.")
 @click.option("--out", required=True, type=click.Path(),
               help="Output directory.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--pair-std", default=0.0, show_default=True,
+              type=click.FloatRange(min=0), callback=_finite,
               help="Interval std in ms for every key pair.")
 @click.option("--noise-std", default=0.0, show_default=True,
+              type=click.FloatRange(min=0), callback=_finite,
               help="Gaussian background noise sigma.")
-@click.option("--base-ms", default=200.0, show_default=True,
-              help="Smallest pair mean interval, ms.")
+@click.option("--base-ms", default=200.0, show_default=True, callback=_finite,
+              help="Smallest pair mean interval, ms; must exceed the "
+                   "100 ms click.")
 @click.option("--spacing-ms", default=5.0, show_default=True,
+              callback=_finite,
               help="Spacing between distinct pair means, ms.")
-@click.option("--sample-rate", default=8000, show_default=True, type=int)
+@click.option("--sample-rate", default=8000, show_default=True,
+              type=click.IntRange(min=1))
 def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               sample_rate):
     """Generate synthetic typing audio, keylog, and ground truth."""
@@ -190,9 +197,13 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
                noise_std=noise_std, base_ms=base_ms, spacing_ms=spacing_ms,
                sample_rate=sample_rate)
     _echo_config("synth", **cfg)
-    profile = synth.profile_for_words(word_list, base_ms=base_ms,
-                                      spacing_ms=spacing_ms, std_ms=pair_std,
-                                      noise_std=noise_std, seed=seed)
+    try:
+        profile = synth.profile_for_words(word_list, base_ms=base_ms,
+                                          spacing_ms=spacing_ms,
+                                          std_ms=pair_std,
+                                          noise_std=noise_std, seed=seed)
+    except ValueError as exc:   # a pair mean at or below the click length
+        raise click.UsageError(f"--base-ms/--spacing-ms: {exc}")
     out_dir = Path(out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,14 +235,19 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
 @click.option("--lexicon", "lexicon_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(),
               help="Report output directory.")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--pair-std", "pair_stds", multiple=True, type=float,
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
+@click.option("--pair-std", "pair_stds", multiple=True,
+              type=click.FloatRange(min=0), callback=_finite,
               default=(0.0,), show_default=True,
               help="Interval std in ms; repeat the flag to run an ASD sweep.")
 @click.option("--train-reps", default=20, show_default=True,
+              type=click.IntRange(min=1),
               help="Times each word is typed in the training session.")
-@click.option("--trials-per-word", default=3, show_default=True)
-@click.option("--sample-rate", default=1000, show_default=True, type=int)
+@click.option("--trials-per-word", default=3, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--sample-rate", default=1000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--jobs", default=os.cpu_count() or 1, show_default="cpu count",
               type=click.IntRange(min=1))
 @_tolerance_options

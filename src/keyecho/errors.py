@@ -49,6 +49,10 @@ class NonPositiveDelta(KeyEchoError):
     """Training observation with a non-positive interval."""
 
 
+class NonFiniteDelta(KeyEchoError):
+    """Training observation whose interval is NaN or infinite."""
+
+
 class SchemaMismatch(KeyEchoError):
     """Model file is missing fields or has an unknown version."""
 

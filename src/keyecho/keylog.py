@@ -9,6 +9,7 @@ caps/shift as 0/1.
 """
 
 import csv
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,6 +101,8 @@ def parse_keylog(path) -> TypingSession:
                     int(row[4])  # scan code: validated, not used
             except ValueError as exc:
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(press_ms) and math.isfinite(release_ms)):
+                raise MalformedRow(f"{path}:{lineno}: non-finite time")
             if press_ms < 0:
                 raise MalformedRow(f"{path}:{lineno}: negative press time")
             if release_ms < press_ms:

@@ -6,12 +6,19 @@ interval, {key_a: [key_b, ...]}, and the candidate words are exactly the
 chains of keys through the successive maps. A backward pass drops the
 edges that cannot reach the last interval and counts the complete words,
 so the search gives up on an oversized word set before building any of
-it. An English word list filters the survivors.
+it. Words are built breadth-first along the sorted maps, so they come out
+sorted with no sort.
+
+The dictionary filter works from the lexicon's side: it checks each
+lexicon word of the right length against one table of allowed key pairs
+per interval, so its cost follows the lexicon, not the candidate count.
 """
 
 import json
 import string
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import segmenter
 from .audio import AudioSignal, ms_to_samples
@@ -120,24 +127,42 @@ def enumerate_words(lattice: CandidateLattice) -> list:
     """Every chain through the lattice as a word, lexicographically sorted.
 
     Keys are single characters (load_model rejects any other), so a word's
-    last character is its last key. Words grow breadth-first from their
-    prefixes along sorted successor lists, so they come out in order and
-    the closing sort, which keeps that contract, costs one pass.
+    last character is its last key. The order comes from the construction:
+    words of one length grow from sorted prefixes along sorted successor
+    lists, so each step keeps them sorted.
     """
     words = sorted(lattice.successors[0])
     for succ in lattice.successors:
         words = [w + b for w in words for b in succ[w[-1]]]
-    words.sort()
     return words
 
 
-def filter_dictionary(words, lexicon: Lexicon) -> list:
-    """The words present in the lexicon, sorted.
+def filter_dictionary(lattice: CandidateLattice, lexicon: Lexicon) -> list:
+    """The lexicon words that are chains through the lattice, sorted.
 
-    Membership is exact: lexicon entries are lowercase, as are the keys of
-    a keylog.
+    Equal to the lexicon's intersection with enumerate_words(lattice),
+    but no candidate word is built or hashed. For interval i, a table
+    marks the lattice's (key_a, key_b) edges whose keys both occur in the
+    lexicon's words of this length; a word survives if its i-th adjacent
+    pair is marked for every i. Membership is exact: lexicon entries are
+    lowercase, as are the keys of a keylog.
     """
-    return sorted(lexicon.words.intersection(words))
+    index = lexicon.of_length(len(lattice.successors) + 1)
+    if not index.words:
+        return []
+    code = index.alphabet
+    size = len(code)
+    keep = None
+    for succ, pair_codes in zip(lattice.successors, index.pair_codes):
+        table = np.zeros(size * size, dtype=bool)
+        table[[code[a] * size + code[b]
+               for a, keys_b in succ.items() if a in code
+               for b in keys_b if b in code]] = True
+        if keep is None:
+            keep = table[pair_codes]
+        else:
+            keep &= table[pair_codes]
+    return sorted(index.words[i] for i in np.flatnonzero(keep).tolist())
 
 
 def predict(model: TimingModel, signal: AudioSignal, k: int,
@@ -156,7 +181,7 @@ def predict(model: TimingModel, signal: AudioSignal, k: int,
                          settings.std_coeff)
     words_all = enumerate_words(lattice)
     if settings.lexicon is not None:
-        words_dict = filter_dictionary(words_all, settings.lexicon)
+        words_dict = filter_dictionary(lattice, settings.lexicon)
     else:
         words_dict = list(words_all)
 

@@ -217,6 +217,21 @@ BAD_OPTIONS = [
     ("eval", "--jobs", "-2"),
     ("eval", "--frame-ms", "0"),
     ("eval", "--tolerance-pct", "-1"),
+    ("eval", "--sample-rate", "0"),
+    ("eval", "--trials-per-word", "0"),
+    ("eval", "--train-reps", "0"),
+    ("eval", "--pair-std", "-5"),
+    ("eval", "--pair-std", "nan"),
+    ("eval", "--seed", "-1"),
+    ("synth", "--sample-rate", "0"),
+    ("synth", "--pair-std", "-5"),
+    ("synth", "--pair-std", "inf"),
+    ("synth", "--noise-std", "-1"),
+    ("synth", "--noise-std", "nan"),
+    ("synth", "--base-ms", "50"),
+    ("synth", "--base-ms", "nan"),
+    ("synth", "--spacing-ms", "-100"),
+    ("synth", "--seed", "-1"),
 ] + [(command, option, value)
      for command in ("segment", "predict", "eval")
      for option, value in [("--frame-ms", "nan"), ("--frame-ms", "inf"),
@@ -231,6 +246,7 @@ def base_args(workspace, tmp_path, command):
                     "--lexicon", LEXICON_PATH, "--k", "4"],
         "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
                  "--out", tmp_path / "report", "--jobs", "1"],
+        "synth": ["synth", "--words", "top", "--out", tmp_path / "report"],
     }[command]
 
 
@@ -303,6 +319,30 @@ def test_float_wav_with_nan_exit_two(workspace, tmp_path, command):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "NaN or infinite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_keylog_with_non_finite_time_exit_two(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,shift\n"
+                   "t,0,50,84,0,0,0\n"
+                   "o,nan,350,79,0,0,0\n")
+    res = run_cli("train", log, "--out", tmp_path / "m.json")
+    assert res.returncode == 2
+    assert "non-finite time" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_model_with_non_finite_number_exit_two(workspace, tmp_path, literal):
+    model = tmp_path / "model.json"
+    model.write_text(workspace["model"].read_text().replace(
+        '"asd_ms": ', f'"asd_ms": {literal}, "was": ', 1))
+    res = run_cli(*base_args(workspace, tmp_path, "predict")[:2],
+                  "--model", model, "--lexicon", LEXICON_PATH, "--k", "4")
+    assert res.returncode == 2
+    assert f"non-finite number {literal}" in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -48,6 +48,13 @@ class TestParseKeylog:
         with pytest.raises(MalformedRow):
             parse_keylog(path)
 
+    @pytest.mark.parametrize("press,release", [
+        ("nan", "80"), ("0", "inf"), ("-inf", "80"), ("inf", "inf")])
+    def test_non_finite_time(self, tmp_path, press, release):
+        path = write_log(tmp_path, [f"t,{press},{release},84,20,0,0"])
+        with pytest.raises(MalformedRow, match="non-finite"):
+            parse_keylog(path)
+
     def test_bad_header(self, tmp_path):
         path = write_log(tmp_path, ["t,0,80,84,20,0,0"], header="a,b,c")
         with pytest.raises(MalformedRow):

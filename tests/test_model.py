@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyecho.errors import (ConsistencyFailure, NonPositiveDelta,
-                            SchemaMismatch)
-from keyecho.model import candidates, load_model, save_model, tolerance, train
+from keyecho.errors import (ConsistencyFailure, NonFiniteDelta,
+                            NonPositiveDelta, SchemaMismatch)
+from keyecho.model import (TimingModel, candidates, load_model, save_model,
+                           tolerance, train)
 
 pair_lists = st.lists(
     st.tuples(st.sampled_from("abct"), st.sampled_from("opxz"),
@@ -43,6 +44,13 @@ class TestTrain:
             train([("a", "b", 0.0)])
         with pytest.raises(NonPositiveDelta):
             train([("a", "b", -5.0)])
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, "inf", "nan"])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(NonFiniteDelta):
+            train([("a", "b", 200.0), ("b", "c", delta)])
+        with pytest.raises(NonPositiveDelta):
+            train([("a", "b", -math.inf)])
 
     @given(pair_lists, st.randoms())
     @settings(max_examples=50, deadline=None)
@@ -114,6 +122,18 @@ class TestCandidates:
         assert got == want
 
 
+def model_with_literal(tmp_path, field, literal):
+    """A saved one-pair model with `field`'s first value written as `literal`."""
+    path = tmp_path / "model.json"
+    save_model(train([("a", "b", 100.0), ("a", "b", 110.0)]), path)
+    doc = json.loads(path.read_text())
+    row = {"delta_ms": doc["observations"][0], "asd_ms": doc}.get(
+        field, doc["analysis"][0])
+    row[field] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    return path
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         model = train([("t", "o", 300), ("t", "o", 310), ("o", "p", 400)])
@@ -163,6 +183,40 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch):
+            load_model(path)
+
+    def test_save_refuses_non_finite(self, tmp_path):
+        # Only a hand-built model can hold one; train rejects them.
+        model = TimingModel(observations=(("a", "b", math.nan),), stats={},
+                            asd_ms=math.inf)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(model, tmp_path / "model.json")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["delta_ms", "mean_ms", "std_ms",
+                                       "asd_ms"])
+    def test_non_finite_literal_is_schema_mismatch(self, tmp_path, field,
+                                                   literal):
+        path = model_with_literal(tmp_path, field, literal)
+        with pytest.raises(SchemaMismatch, match=f"non-finite number {literal}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field,literal,error", [
+        ("delta_ms", "1e999", NonFiniteDelta),
+        ("mean_ms", "1e999", ConsistencyFailure),
+        ("mean_ms", "1" + "0" * 400, SchemaMismatch)])
+    def test_overflowing_number_is_rejected(self, tmp_path, field, literal,
+                                            error):
+        with pytest.raises(error):
+            load_model(model_with_literal(tmp_path, field, literal))
+
+    @pytest.mark.parametrize("text", ["5", "[]", '{"version": 1, '
+                                      '"observations": [], "analysis": [], '
+                                      '"asd_ms": "x"}'])
+    def test_malformed_document(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
         with pytest.raises(SchemaMismatch):
             load_model(path)
 

@@ -1,9 +1,12 @@
 import itertools
+import string
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyecho import synth
 from keyecho.errors import CandidateExplosion, NoCandidates
@@ -13,6 +16,11 @@ from keyecho.predictor import (ALPHABET, MAX_LIVE_PATHS, PredictSettings,
                                build_tree, enumerate_words, filter_dictionary,
                                predict)
 from keyecho.segmenter import IntervalSequence
+
+# Model keys that are not all letters, and lexicon characters that the
+# model lacks (uppercase, a NUL, one outside the Basic Multilingual Plane).
+MODEL_KEYS = ["a", "b", "c", "1", "'", "é"]
+LEXICON_CHARS = "abcz1'éZ\x00\U0001d538"
 
 
 def naive_words(model, deltas, pct, std_coeff, alphabet):
@@ -161,17 +169,112 @@ class TestEnumerateWords:
         assert tree_words(model, (300, 400), 0.05, 0.0) == ["bop", "top"]
 
 
+def lattice_of(pairs, deltas, pct=0.05):
+    return build_tree(train(pairs), IntervalSequence(deltas), pct, 0.0)
+
+
+def reference_filter(lattice, lex):
+    return sorted(set(lex.words) & set(enumerate_words(lattice)))
+
+
+# Words "bop" and "top", plus "t1p" through a key no lexicon word uses.
+TOP_PAIRS = [("t", "o", 300), ("b", "o", 300), ("o", "p", 400),
+             ("t", "1", 300), ("1", "p", 400)]
+
+
 class TestFilterDictionary:
     def test_membership(self):
-        lex = make_lexicon({"top", "work"})
-        assert filter_dictionary(["bop", "top"], lex) == ["top"]
+        lattice = lattice_of(TOP_PAIRS, (300, 400))
+        lex = make_lexicon({"top", "work", "tip"})
+        assert filter_dictionary(lattice, lex) == ["top"] == \
+               reference_filter(lattice, lex)
 
     def test_empty_input(self):
-        assert filter_dictionary([], make_lexicon({"top"})) == []
+        # No lexicon word has the lattice's length.
+        lattice = lattice_of(TOP_PAIRS, (300, 400))
+        assert filter_dictionary(lattice, make_lexicon({"to", "work"})) == []
 
     def test_all_absent(self):
-        lex = make_lexicon({"zzz"})
-        assert filter_dictionary(["bop", "top"], lex) == []
+        lattice = lattice_of(TOP_PAIRS, (300, 400))
+        lex = make_lexicon({"zzz", "pot", "tob"})
+        assert filter_dictionary(lattice, lex) == []
+
+    def test_two_keystrokes(self):
+        lattice = lattice_of(TOP_PAIRS, (300,))
+        lex = make_lexicon({"to", "bo", "ot", "top"})
+        assert filter_dictionary(lattice, lex) == ["bo", "to"]
+
+    def test_non_letter_keys_and_entries(self):
+        lattice = lattice_of(TOP_PAIRS, (300, 400))
+        assert "t1p" in enumerate_words(lattice)
+        lex = make_lexicon({"t1p", "top", "t'p", "tép"})
+        assert filter_dictionary(lattice, lex) == ["t1p", "top"]
+
+    def test_results_are_sorted_not_set_ordered(self):
+        pairs = [(a, b, 300) for a in "abcdef" for b in "abcdef"]
+        lattice = lattice_of(pairs, (300, 300))
+        lex = make_lexicon({"fed", "abc", "cab", "bad", "dab", "ace"})
+        assert filter_dictionary(lattice, lex) == sorted(lex.words)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_intersection_with_words_all(self, data):
+        keys = data.draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=2,
+                                  max_size=6, unique=True), label="keys")
+        means = data.draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
+                                   min_size=len(keys) ** 2,
+                                   max_size=len(keys) ** 2), label="means")
+        present = data.draw(st.lists(st.booleans(), min_size=len(keys) ** 2,
+                                     max_size=len(keys) ** 2), label="present")
+        pairs = [(a, b, m) for (a, b), m, p in
+                 zip(itertools.product(keys, keys), means, present) if p]
+        k = data.draw(st.integers(2, 5), label="k")
+        deltas = data.draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
+                                    min_size=k - 1, max_size=k - 1),
+                           label="deltas")
+        try:
+            lattice = lattice_of(pairs or [("a", "b", 200.0)], deltas)
+        except NoCandidates:
+            return
+        words_all = enumerate_words(lattice)
+        assert words_all == sorted(words_all)
+        hits = data.draw(st.lists(st.sampled_from(words_all), max_size=5),
+                         label="hits")
+        others = data.draw(st.lists(st.text(LEXICON_CHARS, max_size=6),
+                                    max_size=20), label="others")
+        lex = make_lexicon(hits + others)
+        assert filter_dictionary(lattice, lex) == reference_filter(lattice,
+                                                                   lex)
+
+
+class TestLexiconIndex:
+    def test_cache_leaves_equality_hash_and_repr(self):
+        used, fresh = make_lexicon({"top", "bop"}), make_lexicon({"top", "bop"})
+        before = hash(used), repr(used)
+        lattice = lattice_of(TOP_PAIRS, (300, 400))
+        assert filter_dictionary(lattice, used) == ["bop", "top"]
+        assert used == fresh
+        assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+
+    def test_built_once_per_length(self):
+        lex = make_lexicon({"top", "work", "at"})
+        assert lex.of_length(3) is lex.of_length(3)
+        assert lex.of_length(3).words == ("top",)
+        assert lex.of_length(5).words == ()
+
+    def test_codes_follow_the_words_own_characters(self):
+        # A NUL, a lone surrogate, and 52 letters: 55 codes, 3,025 pairs.
+        letters = string.ascii_letters
+        words = {"a\x00é", "éa\ud800"} | {letters[i:i + 3]
+                                          for i in range(50)}
+        index = make_lexicon(words).of_length(3)
+        assert sorted(index.alphabet) == sorted("\x00é\ud800" + letters)
+        assert index.pair_codes.dtype == np.uint16
+        size = len(index.alphabet)
+        for j in range(2):
+            for word, code in zip(index.words, index.pair_codes[j].tolist()):
+                assert code == (index.alphabet[word[j]] * size
+                                + index.alphabet[word[j + 1]])
 
 
 class TestPredict:
