@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,6 +68,14 @@ def _tolerance_options(fn):
     ]):
         fn = opt(fn)
     return fn
+
+
+def _word_list(words: str) -> list:
+    """Split comma-separated --words into lower-case words; none is an error."""
+    word_list = [w.strip().lower() for w in words.split(",") if w.strip()]
+    if not word_list:
+        raise click.UsageError("--words produced an empty list")
+    return word_list
 
 
 @click.group()
@@ -190,9 +199,7 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
 def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               sample_rate):
     """Generate synthetic typing audio, keylog, and ground truth."""
-    word_list = [w.strip().lower() for w in words.split(",") if w.strip()]
-    if not word_list:
-        raise click.UsageError("--words produced an empty list")
+    word_list = _word_list(words)
     cfg = dict(words=word_list, out=out, seed=seed, pair_std=pair_std,
                noise_std=noise_std, base_ms=base_ms, spacing_ms=spacing_ms,
                sample_rate=sample_rate)
@@ -248,50 +255,48 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               type=click.IntRange(min=1))
 @click.option("--sample-rate", default=1000, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--jobs", default=os.cpu_count() or 1, show_default="cpu count",
-              type=click.IntRange(min=1))
+@click.option("--jobs", type=click.IntRange(min=1), hidden=True,
+              expose_value=False,
+              help="Accepted and ignored: eval runs serially.")
 @_tolerance_options
 def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
-             trials_per_word, sample_rate, jobs, frame_ms, min_gap_ms,
+             trials_per_word, sample_rate, frame_ms, min_gap_ms,
              tolerance_pct, std_coeff):
     """Synthesize typists, train, predict, and report success rates."""
-    word_list = [w.strip().lower() for w in words.split(",") if w.strip()]
-    if not word_list:
-        raise click.UsageError("--words produced an empty list")
+    word_list = _word_list(words)
+    for word in word_list:
+        # The lexicon keeps only [a-z]+ words, and one letter has no interval.
+        if not re.fullmatch("[a-z]{2,}", word):
+            raise click.UsageError(
+                f"--words: {word!r} is not 2 or more letters a-z")
     _echo_config("eval", words=word_list, lexicon=lexicon_path, out=out,
                  seed=seed, pair_stds=list(pair_stds), train_reps=train_reps,
                  trials_per_word=trials_per_word, sample_rate=sample_rate,
-                 jobs=jobs, frame_ms=frame_ms, min_gap_ms=min_gap_ms,
+                 frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                  tolerance_pct=tolerance_pct, std_coeff=std_coeff)
     lexicon = _load(load_lexicon, lexicon_path)
-    predict_settings = PredictSettings(
-        frame_ms=frame_ms, min_gap_ms=min_gap_ms,
-        tolerance_pct=tolerance_pct, std_coeff=std_coeff, lexicon=lexicon)
+    settings = evaluation.SweepSettings(
+        words=tuple(word_list), train_reps=train_reps,
+        trials_per_word=trials_per_word, sample_rate=sample_rate,
+        predict=PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
+                                tolerance_pct=tolerance_pct,
+                                std_coeff=std_coeff))
     profiles = [
         synth.profile_for_words(word_list, std_ms=std, seed=seed + i)
         for i, std in enumerate(pair_stds)
     ]
     if len(profiles) == 1:
-        profile = profiles[0]
-        model = evaluation.train_from_profile(profile, word_list, train_reps)
-        trials = evaluation.make_trials(profile, word_list, sample_rate,
-                                        reps=trials_per_word)
         with _pipeline("eval"):
-            report = evaluation.run_eval(model, lexicon, trials,
-                                         predict_settings, jobs=jobs)
+            report = evaluation.evaluate_profile(profiles[0], lexicon,
+                                                 settings)
         with _writing(out):
             evaluation.write_report(report, out)
         click.echo(f"success_rate: {report.success_rate:.4f}  "
                    f"ambiguity: {report.ambiguity:.2f}  "
                    f"asd_ms: {report.asd_ms:.4f}")
     else:
-        sweep_settings = evaluation.SweepSettings(
-            words=tuple(word_list), train_reps=train_reps,
-            trials_per_word=trials_per_word, sample_rate=sample_rate,
-            predict=predict_settings)
         with _pipeline("eval"):
-            result = evaluation.asd_sweep(profiles, lexicon, sweep_settings,
-                                          jobs=jobs)
+            result = evaluation.asd_sweep(profiles, lexicon, settings)
         with _writing(out):
             evaluation.write_sweep(result, out)
         for asd, rate in result.points:

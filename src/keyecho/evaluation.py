@@ -3,8 +3,7 @@
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import predictor, synth
@@ -36,8 +35,8 @@ class EvalReport:
     params: dict = field(default_factory=dict)
 
 
-def _run_trial(args):
-    model, signal, true_word, settings = args
+def _run_trial(model: TimingModel, signal, true_word: str,
+               settings: PredictSettings) -> TrialRecord:
     try:
         result = predictor.predict(model, signal, len(true_word), settings)
     except NoCandidates:
@@ -55,40 +54,28 @@ def _run_trial(args):
 
 
 def run_eval(model: TimingModel, lexicon: Lexicon, trials,
-             settings: PredictSettings, jobs: int = 1) -> EvalReport:
-    """Predict every (AudioSignal, true_word) trial and aggregate.
+             settings: PredictSettings, *, jobs: int = 1) -> EvalReport:
+    """Predict every (AudioSignal, true_word) trial in order and aggregate.
 
     Pipeline failures count as misses and are tallied per kind rather than
-    raised. Aggregation folds in trial order, so reports are deterministic
-    regardless of jobs.
+    raised. `jobs` is accepted and ignored, because the benchmark's
+    perfbench/worker.py and perfbench/baselines.py still pass it.
     """
-    settings = PredictSettings(
-        frame_ms=settings.frame_ms, min_gap_ms=settings.min_gap_ms,
-        tolerance_pct=settings.tolerance_pct, std_coeff=settings.std_coeff,
-        lexicon=lexicon,
-    )
-    work = [(model, signal, word, settings) for signal, word in trials]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_trial, work, chunksize=8))
-    else:
-        records = [_run_trial(w) for w in work]
-
-    hits = sum(r.hit for r in records)
+    settings = replace(settings, lexicon=lexicon)
+    records = [_run_trial(model, signal, word, settings)
+               for signal, word in trials]
     n = len(records)
     length_totals = {}
-    for r in records:
-        k = len(r.true_word)
-        got, seen = length_totals.get(k, (0, 0))
-        length_totals[k] = (got + r.hit, seen + 1)
-    by_length = {k: got / seen for k, (got, seen) in sorted(length_totals.items())}
     failures = {}
     for r in records:
+        got, seen = length_totals.get(len(r.true_word), (0, 0))
+        length_totals[len(r.true_word)] = (got + r.hit, seen + 1)
         if r.failure:
             failures[r.failure] = failures.get(r.failure, 0) + 1
+    by_length = {k: got / seen for k, (got, seen) in sorted(length_totals.items())}
     return EvalReport(
         per_trial=tuple(records),
-        success_rate=hits / n if n else 0.0,
+        success_rate=sum(r.hit for r in records) / n if n else 0.0,
         by_length=by_length,
         asd_ms=model.asd_ms,
         ambiguity=(sum(len(r.words_dict) for r in records) / n) if n else 0.0,
@@ -99,7 +86,7 @@ def run_eval(model: TimingModel, lexicon: Lexicon, trials,
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """How much synthetic data to generate per profile in a sweep."""
+    """How much synthetic data to generate per profile, and how to predict."""
     words: tuple
     train_reps: int = 20        # times each word is typed for training
     trials_per_word: int = 3
@@ -131,6 +118,15 @@ def train_from_profile(profile: TypistProfile, words, reps: int,
     return train(session_to_pairs(syn.session))
 
 
+def evaluate_profile(profile: TypistProfile, lexicon: Lexicon,
+                     settings: SweepSettings) -> EvalReport:
+    """Train a model on one typist, then score fresh trials of its words."""
+    model = train_from_profile(profile, settings.words, settings.train_reps)
+    trials = make_trials(profile, settings.words, settings.sample_rate,
+                         reps=settings.trials_per_word)
+    return run_eval(model, lexicon, trials, settings.predict)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple        # (asd_ms, success_rate), ascending asd
@@ -153,19 +149,14 @@ def _pearson(xs, ys) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def asd_sweep(profiles, lexicon: Lexicon, settings: SweepSettings,
-              jobs: int = 1) -> SweepResult:
-    """Train and evaluate one model per profile; relate ASD to success."""
+def asd_sweep(profiles, lexicon: Lexicon,
+              settings: SweepSettings) -> SweepResult:
+    """Evaluate one model per profile; relate ASD to success."""
     if len(profiles) < 2:
         raise ValueError("need at least two profiles to sweep")
-    points = []
-    for profile in profiles:
-        model = train_from_profile(profile, settings.words, settings.train_reps)
-        trials = make_trials(profile, settings.words, settings.sample_rate,
-                             reps=settings.trials_per_word)
-        report = run_eval(model, lexicon, trials, settings.predict, jobs=jobs)
-        points.append((model.asd_ms, report.success_rate))
-    points.sort(key=lambda p: p[0])
+    reports = [evaluate_profile(p, lexicon, settings) for p in profiles]
+    points = sorted(((r.asd_ms, r.success_rate) for r in reports),
+                    key=lambda p: p[0])
     r = _pearson([p[0] for p in points], [p[1] for p in points])
     return SweepResult(points=tuple(points), pearson_r=r)
 
@@ -189,24 +180,25 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header row and then `rows`, creating the directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report(report: EvalReport, out_dir) -> None:
     """Emit report.json plus by_length.csv for external plotting."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "by_length.csv", ["length", "success"],
+               report.by_length.items())
     (out_dir / "report.json").write_text(
         json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
-    with (out_dir / "by_length.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "success"])
-        for k, v in report.by_length.items():
-            writer.writerow([k, v])
 
 
 def write_sweep(result: SweepResult, out_dir) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "asd_sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asd_ms", "success_rate"])
-        for asd, rate in result.points:
-            writer.writerow([asd, rate])
+    """Emit asd_sweep.csv, one (asd_ms, success_rate) row per profile."""
+    _write_csv(Path(out_dir) / "asd_sweep.csv", ["asd_ms", "success_rate"],
+               result.points)

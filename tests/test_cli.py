@@ -223,6 +223,8 @@ BAD_OPTIONS = [
     ("eval", "--pair-std", "-5"),
     ("eval", "--pair-std", "nan"),
     ("eval", "--seed", "-1"),
+    ("eval", "--words", "x"),
+    ("eval", "--words", "can't"),
     ("synth", "--sample-rate", "0"),
     ("synth", "--pair-std", "-5"),
     ("synth", "--pair-std", "inf"),
@@ -385,6 +387,22 @@ class TestEval:
         lines = (out / "asd_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "pearson_r" in res.stdout
+
+    def test_jobs_is_an_ignored_hidden_option(self, tmp_path):
+        # eval runs serially: no --jobs, or any --jobs, writes what --jobs 1 does.
+        args = ["eval", "--words", "work,cat,book", "--lexicon", LEXICON_PATH,
+                "--seed", "3", "--trials-per-word", "2"]
+        for name, jobs in [("one", ["--jobs", "1"]), ("default", []),
+                           ("three", ["--jobs", "3"])]:
+            res = run_cli(*args, "--out", tmp_path / name, *jobs)
+            assert res.returncode == 0, res.stderr
+        for name in ["report.json", "by_length.csv"]:
+            one = (tmp_path / "one" / name).read_bytes()
+            assert (tmp_path / "default" / name).read_bytes() == one
+            assert (tmp_path / "three" / name).read_bytes() == one
+        res = run_cli("eval", "--help")
+        assert res.returncode == 0
+        assert "--jobs" not in res.stdout
 
 
 class TestModelInspect:
