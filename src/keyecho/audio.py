@@ -4,6 +4,10 @@ Only uncompressed RIFF/WAVE files are accepted: PCM integers (8/16/24/32
 bit) or 32-bit float, mono or stereo. Stereo is down-mixed by averaging
 the channels. No resampling happens anywhere; millisecond parameters are
 converted per file with ms_to_samples().
+
+load_wav records the grid that PCM samples of up to 24 bits lie on
+(AudioSignal.grid_bits), on which the energy scan's plain prefix sums are
+exact.
 """
 
 import struct
@@ -21,10 +25,19 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Mono signal with samples normalized to [-1, +1]."""
+    """Mono signal with samples normalized to [-1, +1].
+
+    grid_bits is q when every sample is a whole multiple of 2^-q, which
+    load_wav records for 8-, 16- and 24-bit PCM: q = bits - 1, one more
+    after the stereo mean. 32-bit PCM, float WAVs and signals built
+    directly carry None. It is not an __init__ argument, so no caller can
+    claim a grid on trust, and it takes no part in equality or repr.
+    """
 
     samples: np.ndarray = field(repr=False)
     sample_rate: int
+    grid_bits: int | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -148,7 +161,11 @@ def load_wav(path) -> AudioSignal:
     samples = _decode(raw, audio_format, bits)
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    return AudioSignal(samples=samples, sample_rate=sample_rate)
+    signal = AudioSignal(samples=samples, sample_rate=sample_rate)
+    if audio_format == _WAVE_FORMAT_PCM and bits <= 24:
+        # PCM codes are k / 2^(bits - 1); the stereo mean halves the step.
+        object.__setattr__(signal, "grid_bits", bits - 1 + (channels == 2))
+    return signal
 
 
 def write_wav(path, signal: AudioSignal) -> None:

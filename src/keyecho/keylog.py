@@ -74,12 +74,20 @@ def _parse_bool(text: str) -> bool:
     return text.strip().lower() in {"1", "true", "yes"}
 
 
+def _rows(reader, path):
+    """The reader's rows; a line csv cannot split is a MalformedRow."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over csv's 131072-char limit
+        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def parse_keylog(path) -> TypingSession:
     """Read a keystroke CSV; rows come back sorted by press time."""
     path = Path(path)
     events = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:

@@ -153,7 +153,11 @@ def load_model(path) -> TimingModel:
     if bad:
         raise SchemaMismatch(f"{path}: key {bad[0]!r} is not one character")
 
-    rebuilt = train(observations)
+    try:
+        rebuilt = train(observations)
+    except TypeError as exc:  # an observation key it cannot group or sort
+        raise SchemaMismatch(
+            f"{path}: malformed observation key: {exc}") from None
     if stored != rebuilt.stats:
         raise ConsistencyFailure(
             f"{path}: analysis table disagrees with recomputation from observations"

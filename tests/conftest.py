@@ -1,6 +1,7 @@
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from keyecho.lexicon import load_lexicon
@@ -38,3 +39,14 @@ def make_wav_bytes(frames: bytes, *, channels=1, bits=16, rate=44100,
                              byte_rate, block_align, bits),
         b"data", struct.pack("<I", data_size), frames,
     ])
+
+
+def pcm_frames(ints, bits) -> bytes:
+    """Signed PCM codes as WAV frame bytes: 8-bit offset, else little-endian.
+
+    A 2-D (frames, channels) array comes out interleaved.
+    """
+    if bits == 8:
+        return (ints + 128).astype(np.uint8).tobytes()
+    return (ints.astype("<i8").view(np.uint8).reshape(-1, 8)
+            [:, :bits // 8].tobytes())

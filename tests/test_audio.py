@@ -6,13 +6,23 @@ import pytest
 from keyecho.audio import AudioSignal, load_wav, ms_to_samples, write_wav
 from keyecho.errors import EmptySignal, MalformedContainer, UnsupportedEncoding
 
-from conftest import make_wav_bytes
+from conftest import make_wav_bytes, pcm_frames
 
 
 def _write(tmp_path, raw, name="t.wav"):
     path = tmp_path / name
     path.write_bytes(raw)
     return path
+
+
+def _pcm_codes(bits):
+    """Every 8- and 16-bit code; random and extreme 24- and 32-bit ones."""
+    full = 1 << (bits - 1)
+    if bits <= 16:
+        return np.arange(-full, full)
+    rng = np.random.default_rng(bits)
+    return np.concatenate([[-full, -full + 1, -1, 0, 1, full - 1],
+                           rng.integers(-full, full, 20000)])
 
 
 class TestLoadWav:
@@ -86,23 +96,33 @@ class TestLoadWav:
 
     @pytest.mark.parametrize("bits", [8, 16, 24, 32])
     def test_pcm_scaling_matches_division(self, tmp_path, bits):
-        # Every 8- and 16-bit code; random and extreme 24- and 32-bit ones.
-        full = 1 << (bits - 1)
-        if bits <= 16:
-            ints = np.arange(-full, full)
-        else:
-            rng = np.random.default_rng(bits)
-            ints = np.concatenate([[-full, -full + 1, -1, 0, 1, full - 1],
-                                   rng.integers(-full, full, 20000)])
-        if bits == 8:
-            raw = (ints + 128).astype(np.uint8).tobytes()
-        else:
-            raw = (ints.astype("<i8").view(np.uint8).reshape(-1, 8)
-                   [:, :bits // 8].tobytes())
+        ints = _pcm_codes(bits)
+        raw = pcm_frames(ints, bits)
         sig = load_wav(_write(tmp_path, make_wav_bytes(raw, bits=bits)))
-        want = ints.astype(np.float64) / float(full)
+        want = ints.astype(np.float64) / float(1 << (bits - 1))
         assert np.array_equal(sig.samples.view(np.uint64),
                               want.view(np.uint64))
+
+    @pytest.mark.parametrize("bits,channels,grid", [
+        (8, 1, 7), (16, 1, 15), (24, 1, 23),
+        (8, 2, 8), (16, 2, 16), (24, 2, 24),
+        (32, 1, None), (32, 2, None)])
+    def test_grid_bits_recorded(self, tmp_path, bits, channels, grid):
+        # Stereo pairs up consecutive codes; their mean halves the step.
+        raw = make_wav_bytes(pcm_frames(_pcm_codes(bits), bits),
+                             bits=bits, channels=channels)
+        sig = load_wav(_write(tmp_path, raw))
+        assert sig.grid_bits == grid
+        if grid is not None:  # every sample times 2^grid is whole
+            scaled = np.ldexp(sig.samples, grid)
+            assert np.array_equal(scaled, np.floor(scaled))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_float32_has_no_grid(self, tmp_path, channels):
+        frames = np.array([0.25, -0.5, 0.5, 1.0], dtype="<f4").tobytes()
+        raw = make_wav_bytes(frames, bits=32, audio_format=3,
+                             channels=channels)
+        assert load_wav(_write(tmp_path, raw)).grid_bits is None
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
@@ -152,3 +172,17 @@ class TestAudioSignal:
     def test_duration(self):
         sig = AudioSignal(np.zeros(500), 1000)
         assert sig.duration_seconds == 0.5
+
+    def test_grid_is_not_an_argument_nor_compared(self, tmp_path):
+        sig = AudioSignal(np.array([0.5]), 1000)
+        assert sig.grid_bits is None
+        assert repr(sig) == "AudioSignal(sample_rate=1000)"
+        with pytest.raises(TypeError):
+            AudioSignal(np.array([0.5]), 1000, 15)
+        with pytest.raises(TypeError):
+            AudioSignal(np.array([0.5]), 1000, grid_bits=15)
+        frames = struct.pack("<h", 16384)
+        loaded = load_wav(_write(tmp_path, make_wav_bytes(frames, rate=1000)))
+        assert loaded.grid_bits == 15
+        assert repr(loaded) == repr(sig)
+        assert loaded == sig and sig == loaded

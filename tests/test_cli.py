@@ -75,6 +75,15 @@ class TestTrain:
         assert str(log) in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_keylog_field_over_csv_limit_exit_two(self, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,"
+                       "shift\nt," + "1" * 131073 + ",80,84,20,0,0\n")
+        res = run_cli("train", log, "--out", tmp_path / "m.json")
+        assert res.returncode == 2
+        assert "field limit" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_directory_keylog_exit_two(self, tmp_path):
         res = run_cli("train", tmp_path, "--out", tmp_path / "m.json")
         assert res.returncode == 2
@@ -154,6 +163,17 @@ class TestPredict:
                       "--lexicon", paths["lexicon"], "--k", "4")
         assert res.returncode == 2
         assert f"cannot read {tmp_path}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_unhashable_model_key_exit_two(self, workspace, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({
+            "version": 1, "analysis": [], "asd_ms": 0,
+            "observations": [{"a": "a", "b": [], "delta_ms": 1}]}))
+        res = run_cli("predict", workspace["synth"] / "word_001_work.wav",
+                      "--model", model, "--lexicon", LEXICON_PATH, "--k", "4")
+        assert res.returncode == 2
+        assert "observation key" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_json_output(self, workspace):

@@ -55,6 +55,11 @@ class TestParseKeylog:
         with pytest.raises(MalformedRow, match="non-finite"):
             parse_keylog(path)
 
+    def test_field_over_csv_limit(self, tmp_path):
+        path = write_log(tmp_path, ["t," + "1" * 131073 + ",80,84,20,0,0"])
+        with pytest.raises(MalformedRow, match="field limit"):
+            parse_keylog(path)
+
     def test_bad_header(self, tmp_path):
         path = write_log(tmp_path, ["t,0,80,84,20,0,0"], header="a,b,c")
         with pytest.raises(MalformedRow):

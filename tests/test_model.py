@@ -226,6 +226,17 @@ class TestPersistence:
         with pytest.raises(SchemaMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("rows", [
+        [{"a": "a", "b": [], "delta_ms": 1}],           # unhashable
+        [{"a": "a", "b": "b", "delta_ms": 1},
+         {"a": 1, "b": "b", "delta_ms": 1}]])           # unorderable
+    def test_observation_key_train_cannot_group(self, tmp_path, rows):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"version": 1, "observations": rows,
+                                    "analysis": [], "asd_ms": 0}))
+        with pytest.raises(SchemaMismatch, match="observation key"):
+            load_model(path)
+
     @pytest.mark.parametrize("key", ["sh", "", 5])
     def test_key_not_one_character(self, tmp_path, key):
         path = tmp_path / "model.json"

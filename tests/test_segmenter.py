@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyecho.audio import AudioSignal
+from keyecho.audio import AudioSignal, load_wav
 from keyecho.errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
                             TooFewOnsets)
 from keyecho.segmenter import (EnergyArray, OnsetList, energy,
                                extract_segments, intervals, pick_onsets)
+
+from conftest import make_wav_bytes, pcm_frames
 
 
 def argmax_loop_onsets(values, frame_len, k, min_gap):
@@ -104,17 +106,26 @@ def _length_and_frame(draw, max_direct_work=None):
     return n, draw(st.one_of(*frames))
 
 
+def pcm_codes(seed, n, bits, channels, sparse):
+    """n frames of signed PCM codes, full scale included, as (n, channels)."""
+    full = 1 << (bits - 1)
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-full, full, (n, channels))
+    if sparse:  # sparse loud clicks over quiet noise
+        ints //= 256 if bits > 8 else 16
+        ints[rng.integers(0, n, max(1, n // 5000))] = -full
+    return ints
+
+
 @st.composite
 def pcm_signals(draw):
-    """Samples on the 16- or 24-bit PCM grid, full scale included."""
+    """Codes on the 8-, 16- or 24-bit PCM grid, mono or stereo."""
     n, frame_len = _length_and_frame(draw)
-    full = 1 << draw(st.sampled_from([15, 23]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ints = rng.integers(-full, full + 1, n)
-    if draw(st.booleans()):  # sparse loud clicks over quiet noise
-        ints //= 256
-        ints[rng.integers(0, n, max(1, n // 5000))] = -full
-    return ints / full, frame_len
+    bits = draw(st.sampled_from([8, 16, 24]))
+    channels = draw(st.sampled_from([1, 2]))
+    ints = pcm_codes(draw(st.integers(0, 2**32 - 1)), n, bits, channels,
+                     draw(st.booleans()))
+    return ints, bits, frame_len
 
 
 @st.composite
@@ -177,15 +188,56 @@ class TestEnergy:
             energy(sig, 0)
 
     @settings(max_examples=80, deadline=None)
-    @given(pcm_signals())
-    def test_bit_identical_to_resync_loop_on_pcm_grids(self, case):
-        samples, frame_len = case
-        got = energy(AudioSignal(samples, 44100), frame_len).values
+    @given(case=pcm_signals())
+    # Around 32768 windows, and frames longer than a block.
+    @example(case=(pcm_codes(1, 65536, 16, 1, False), 16, 32769))
+    @example(case=(pcm_codes(2, 65537, 24, 2, True), 24, 32768))
+    @example(case=(pcm_codes(3, 98305, 8, 2, False), 8, 32768))
+    @example(case=(pcm_codes(4, 70000, 24, 1, False), 24, 40000))
+    @example(case=(pcm_codes(5, 70000, 16, 2, True), 16, 70000))
+    def test_bit_identical_to_resync_loop_on_pcm_grids(self, case,
+                                                       tmp_path_factory):
+        ints, bits, frame_len = case
+        samples = ints.mean(axis=1) / (1 << (bits - 1))
         want = resync_loop_energy(samples, frame_len)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # The same codes built in memory (no grid: the split path) and
+        # read back from a WAV by load_wav (the grid path).
+        path = tmp_path_factory.getbasetemp() / "pcm_grid.wav"
+        path.write_bytes(make_wav_bytes(pcm_frames(ints, bits), bits=bits,
+                                        channels=ints.shape[1]))
+        loaded = load_wav(path)
+        assert loaded.grid_bits == bits - 1 + (ints.shape[1] == 2)
+        assert np.array_equal(loaded.samples, samples)
+        for sig in (AudioSignal(samples, 44100), loaded):
+            got = energy(sig, frame_len).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bits,audio_format", [(32, 1), (32, 3)])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_wavs_off_a_grid_within_1e9_of_direct(self, tmp_path, bits,
+                                                  audio_format, channels):
+        # 32-bit PCM and float32 WAVs carry no grid: the split path.
+        rng = np.random.default_rng(channels)
+        if audio_format == 3:
+            frames = rng.uniform(-1, 1, 40000 * channels).astype("<f4")
+        else:
+            frames = rng.integers(-2**31, 2**31, 40000 * channels,
+                                  dtype="<i4")
+        path = tmp_path / "w.wav"
+        path.write_bytes(make_wav_bytes(frames.tobytes(), channels=channels,
+                                        bits=bits, audio_format=audio_format))
+        sig = load_wav(path)
+        assert sig.grid_bits is None
+        for frame_len in (64, 4410):
+            got = energy(sig, frame_len).values
+            want = direct_energy(sig.samples, frame_len)
+            assert np.max(np.abs(got - want)) < 1e-9
 
     @settings(max_examples=80, deadline=None)
     @given(float_signals())
+    # Plain prefix sums of this constant drift by about 2^-41 a sample once
+    # past 2^12, 4e-9 over the frame; the split sums are exact on it.
+    @example(case=(np.full(70000, 1 - 2.0**-40), 4410))
     def test_float_signals_within_1e9_of_direct(self, case):
         samples, frame_len = case
         got = energy(AudioSignal(samples, 44100), frame_len).values
