@@ -23,7 +23,7 @@ _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioSignal:
     """Mono signal with samples normalized to [-1, +1].
 
@@ -31,13 +31,13 @@ class AudioSignal:
     load_wav records for 8-, 16- and 24-bit PCM: q = bits - 1, one more
     after the stereo mean. 32-bit PCM, float WAVs and signals built
     directly carry None. It is not an __init__ argument, so no caller can
-    claim a grid on trust, and it takes no part in equality or repr.
+    claim a grid on trust, and it is not in the repr. Signals compare by
+    identity, as numpy arrays have no single truth value.
     """
 
     samples: np.ndarray = field(repr=False)
     sample_rate: int
-    grid_bits: int | None = field(default=None, init=False, compare=False,
-                                  repr=False)
+    grid_bits: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.sample_rate <= 0:

@@ -4,7 +4,8 @@ Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
 (no candidates, not enough peaks, too many candidates, frame longer than
 the audio or shorter than one sample), 2 I/O or parse error (unreadable
 input, unwritable output), 64 usage error (including nan or inf options).
-Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity.
+Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity; a name
+that is not a level is a usage error.
 """
 
 import csv
@@ -12,7 +13,6 @@ import json
 import logging
 import math
 import os
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,7 +22,7 @@ import click
 from . import evaluation, predictor, segmenter, synth
 from .audio import AudioSignal, load_wav, ms_to_samples, write_wav
 from .errors import KeyEchoError
-from .keylog import parse_keylog, session_to_pairs, write_keylog
+from .keylog import LETTERS, parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
 from .predictor import PredictSettings
@@ -50,24 +50,26 @@ def _finite(ctx, param, value):
     return value
 
 
+def _segment_options(fn):
+    """Add --frame-ms and --min-gap-ms; click lists the last added first."""
+    fn = click.option("--min-gap-ms", default=100.0, show_default=True,
+                      type=click.FloatRange(min=0), callback=_finite,
+                      help="Extra zeroed margin around each detected peak, ms.")(fn)
+    return click.option("--frame-ms", default=100.0, show_default=True,
+                        type=click.FloatRange(min=0, min_open=True),
+                        callback=_finite,
+                        help="Sliding-window frame length in ms.")(fn)
+
+
 def _tolerance_options(fn):
-    for opt in reversed([
-        click.option("--frame-ms", default=100.0, show_default=True,
-                     type=click.FloatRange(min=0, min_open=True),
-                     callback=_finite,
-                     help="Sliding-window frame length in ms."),
-        click.option("--min-gap-ms", default=100.0, show_default=True,
-                     type=click.FloatRange(min=0), callback=_finite,
-                     help="Extra zeroed margin around each detected peak, ms."),
-        click.option("--tolerance-pct", default=0.05, show_default=True,
-                     type=click.FloatRange(min=0), callback=_finite,
-                     help="Interval-matching range as a fraction of the interval."),
-        click.option("--std-coeff", default=1.0, show_default=True,
-                     type=click.FloatRange(min=0), callback=_finite,
-                     help="Weight of the model ASD in the matching range."),
-    ]):
-        fn = opt(fn)
-    return fn
+    """Add the segment options, then --tolerance-pct and --std-coeff."""
+    fn = click.option("--std-coeff", default=1.0, show_default=True,
+                      type=click.FloatRange(min=0), callback=_finite,
+                      help="Weight of the model ASD in the matching range.")(fn)
+    fn = click.option("--tolerance-pct", default=0.05, show_default=True,
+                      type=click.FloatRange(min=0), callback=_finite,
+                      help="Interval-matching range as a fraction of the interval.")(fn)
+    return _segment_options(fn)
 
 
 def _word_list(words: str) -> list:
@@ -81,7 +83,10 @@ def _word_list(words: str) -> list:
 @click.group()
 def cli():
     """Recover typed words from keyboard audio using timing models."""
-    logging.basicConfig(level=os.environ.get("KEYECHO_LOG", "WARNING").upper())
+    level = os.environ.get("KEYECHO_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):  # not a level name
+        raise click.UsageError(f"KEYECHO_LOG: unknown log level {level!r}")
+    logging.basicConfig(level=level)
 
 
 @cli.command("train")
@@ -111,9 +116,8 @@ def cmd_train(keylogs, out):
               help="Onsets CSV output path.")
 @click.option("--segments-dir", type=click.Path(), default=None,
               help="Optionally dump one WAV per keystroke segment here.")
-@_tolerance_options
-def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms,
-                tolerance_pct, std_coeff):
+@_segment_options
+def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
     """Locate keystroke onsets in a WAV file and write them as CSV."""
     _echo_config("segment", audio=audio, k=k, out=out,
                  segments_dir=segments_dir, frame_ms=frame_ms,
@@ -265,8 +269,8 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
     """Synthesize typists, train, predict, and report success rates."""
     word_list = _word_list(words)
     for word in word_list:
-        # The lexicon keeps only [a-z]+ words, and one letter has no interval.
-        if not re.fullmatch("[a-z]{2,}", word):
+        # A lexicon keeps only words of letters; one letter has no interval.
+        if len(word) < 2 or not LETTERS.issuperset(word):
             raise click.UsageError(
                 f"--words: {word!r} is not 2 or more letters a-z")
     _echo_config("eval", words=word_list, lexicon=lexicon_path, out=out,

@@ -53,6 +53,10 @@ class NonFiniteDelta(KeyEchoError):
     """Training observation whose interval is NaN or infinite."""
 
 
+class NonLetterKey(KeyEchoError):
+    """Training observation whose key is not one of the letters a-z."""
+
+
 class SchemaMismatch(KeyEchoError):
     """Model file is missing fields or has an unknown version."""
 

@@ -20,6 +20,7 @@ SPACE = "SPACE"
 ENTER = "ENTER"
 OTHER = "OTHER"
 
+# The keys: a model's pairs and a lexicon's words are made of these only.
 LETTERS = frozenset(string.ascii_lowercase)
 
 HEADER = ["key", "press_ms", "release_ms", "virtual_code", "scan_code",
@@ -53,7 +54,7 @@ class TypingSession:
 
 def _canonical_key(key_field: str, virtual_code: int) -> str:
     key = key_field.strip().lower()
-    if len(key) == 1 and key in LETTERS:
+    if key in LETTERS:
         return key
     if key in _SPACE_NAMES:
         return SPACE

@@ -1,33 +1,28 @@
-"""Word list used for the dictionary-filtering step."""
+"""Word list used for the dictionary-filtering step: words of letters a-z."""
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyLexicon
-
-_WORD_RE = re.compile(r"^[a-z]+$")
+from .keylog import LETTERS
 
 
 @dataclass(frozen=True, eq=False)
 class LengthIndex:
     """The lexicon's words of one length, with their adjacent pairs coded.
 
-    `alphabet` maps each character of these words to a code below
-    size = len(alphabet); `pair_codes[j]` holds, for every word in `words`
-    order, code(word[j]) * size + code(word[j + 1]) in the smallest
-    unsigned dtype that fits.
+    `pair_codes[j]` holds, for every word in `words` order, the uint16
+    code of the letter pair (word[j], word[j + 1]) made by _pair_codes.
     """
     words: tuple
-    alphabet: dict
     pair_codes: np.ndarray
 
 
 @dataclass(frozen=True)
 class Lexicon:
-    """A set of words, indexed by length on first use of each length.
+    """make_lexicon's words, indexed by length on first use of each length.
 
     The index is a cache: it takes no part in equality, hashing or repr,
     and nothing is built at load.
@@ -48,53 +43,60 @@ class Lexicon:
         return self.contains(word)
 
     def of_length(self, n: int) -> LengthIndex:
-        """The LengthIndex of the words of n >= 2 characters, cached."""
+        """The LengthIndex of the words of n >= 2 letters, cached."""
         index = self._by_length.get(n)
         if index is None:
-            index = self._by_length[n] = _index_words(
-                tuple(w for w in self.words if len(w) == n), n)
+            words = tuple(w for w in self.words if len(w) == n)
+            index = self._by_length[n] = LengthIndex(words,
+                                                     _pair_codes(words, n))
         return index
 
 
-def _index_words(words: tuple, n: int) -> LengthIndex:
-    # UTF-32 gives one code point per character; surrogatepass keeps any
-    # str encodable, so every entry make_lexicon accepts can be indexed.
-    points = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"),
-                           dtype="<u4")
-    # Code points are mapped through a table, not np.unique, to keep the
-    # transient memory at a few bytes per character.
-    present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
-    present[points] = True
-    letters = np.flatnonzero(present)
-    size = len(letters)
-    dtype = np.min_scalar_type(max(size * size - 1, 0))
-    lookup = np.zeros(len(present), dtype=dtype)
-    lookup[letters] = np.arange(size)
-    codes = lookup[points].reshape(len(words), n)
-    return LengthIndex(
-        words=words,
-        alphabet={chr(c): i for i, c in enumerate(letters.tolist())},
-        pair_codes=np.ascontiguousarray((codes[:, :-1] * size + codes[:, 1:]).T),
-    )
+def _pair_codes(words, n: int) -> np.ndarray:
+    """Row j: 26 * code(w[j]) + code(w[j + 1]) for each word w of n letters,
+    code(c) being c's place in a-z; uint16, widened before the product, as
+    pair codes run to 675."""
+    codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    codes = (codes - ord("a")).astype(np.uint16).reshape(-1, n)
+    return np.ascontiguousarray((codes[:, :-1] * 26 + codes[:, 1:]).T)
 
 
-def make_lexicon(entries, dropped: int = 0, source: str = "") -> Lexicon:
-    return Lexicon(words=frozenset(entries), dropped=dropped, source=source)
+# Each letter pair's code, looked up one by one: a mask marks too few
+# pairs for _pair_codes' array set-up to pay.
+_PAIRS = [a + b for a in sorted(LETTERS) for b in sorted(LETTERS)]
+_PAIR_CODE = dict(zip(_PAIRS, _pair_codes(_PAIRS, 2)[0].tolist()))
+
+
+def pair_mask(successors: dict) -> np.ndarray:
+    """One flag per pair code, set for each pair (a, b), b in successors[a]."""
+    mask = np.zeros(26 * 26, dtype=bool)
+    mask[[_PAIR_CODE[a + b] for a, keys_b in successors.items()
+          for b in keys_b]] = True
+    return mask
+
+
+def make_lexicon(entries, source: str = "") -> Lexicon:
+    """The entries, stripped and lowercased, that are words of letters a-z.
+
+    Blank entries are skipped; every other entry is dropped and counted.
+    """
+    words = set()
+    dropped = 0
+    for entry in entries:
+        word = entry.strip().lower()
+        if LETTERS.issuperset(word):
+            words.add(word)
+        else:
+            dropped += 1
+    words.discard("")    # a blank entry: skipped, not dropped
+    return Lexicon(words=frozenset(words), dropped=dropped, source=source)
 
 
 def load_lexicon(path) -> Lexicon:
-    """One word per line; entries are lowercased, non-letter lines dropped."""
+    """One word per line, kept or dropped as make_lexicon does."""
     path = Path(path)
-    kept = set()
-    dropped = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if not word:
-            continue
-        if _WORD_RE.match(word):
-            kept.add(word)
-        else:
-            dropped += 1
-    if not kept:
+    lexicon = make_lexicon(path.read_text(encoding="utf-8").splitlines(),
+                           source=str(path))
+    if not lexicon.words:
         raise EmptyLexicon(f"{path}: no usable words")
-    return make_lexicon(kept, dropped=dropped, source=str(path))
+    return lexicon

@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (ConsistencyFailure, NonFiniteDelta, NonPositiveDelta,
-                     SchemaMismatch)
+from .errors import (ConsistencyFailure, NonFiniteDelta, NonLetterKey,
+                     NonPositiveDelta, SchemaMismatch)
+from .keylog import LETTERS
 
 MODEL_VERSION = 1
 
@@ -42,7 +43,8 @@ def train(pairs) -> TimingModel:
 
     Means and stds use math.fsum, so the result is exactly invariant under
     permutation of the input. Std is the n-1 sample form, 0 for singletons.
-    Every interval must be positive and finite.
+    Every interval must be positive and finite, and every key one of
+    LETTERS (NonLetterKey), so a model's pairs are letter pairs.
     """
     observations = []
     groups = {}
@@ -53,6 +55,10 @@ def train(pairs) -> TimingModel:
             raise error(f"pair ({key_a},{key_b}) has interval {delta_ms} ms")
         observations.append((key_a, key_b, delta_ms))
         groups.setdefault((key_a, key_b), []).append(delta_ms)
+    for key_a, key_b in groups:   # at most 26 * 26 groups once all pass
+        if key_a not in LETTERS or key_b not in LETTERS:
+            raise NonLetterKey(f"pair ({key_a!r}, {key_b!r}) has a key "
+                               f"that is not a letter a-z")
 
     stats = {}
     for (key_a, key_b), deltas in sorted(groups.items()):
@@ -147,15 +153,9 @@ def load_model(path) -> TimingModel:
         asd_ms = float(doc["asd_ms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
-    # The candidate search chains keys as the characters of a word.
-    bad = [key for pair in stored for key in pair
-           if not isinstance(key, str) or len(key) != 1]
-    if bad:
-        raise SchemaMismatch(f"{path}: key {bad[0]!r} is not one character")
-
     try:
         rebuilt = train(observations)
-    except TypeError as exc:  # an observation key it cannot group or sort
+    except (TypeError, NonLetterKey) as exc:  # unhashable, or not a letter
         raise SchemaMismatch(
             f"{path}: malformed observation key: {exc}") from None
     if stored != rebuilt.stats:

@@ -15,7 +15,6 @@ per interval, so its cost follows the lexicon, not the candidate count.
 """
 
 import json
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,9 @@ import numpy as np
 from . import segmenter
 from .audio import AudioSignal, ms_to_samples
 from .errors import CandidateExplosion, NoCandidates
-from .lexicon import Lexicon
+from .keylog import LETTERS
+from .lexicon import Lexicon, pair_mask
 from .model import TimingModel, candidates, tolerance
-
-ALPHABET = frozenset(string.ascii_lowercase)
 
 # Candidate words allowed before build_tree gives up.
 MAX_LIVE_PATHS = 10_000_000
@@ -90,7 +88,7 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
         raise ValueError("need at least one interval")
 
     steps = []
-    reach = ALPHABET
+    reach = LETTERS
     for i, delta_ms in enumerate(deltas.deltas, start=1):
         t_f = tolerance(model, delta_ms, pct, std_coeff)
         cands = candidates(model, delta_ms, t_f, reach)
@@ -126,8 +124,8 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
 def enumerate_words(lattice: CandidateLattice) -> list:
     """Every chain through the lattice as a word, lexicographically sorted.
 
-    Keys are single characters (load_model rejects any other), so a word's
-    last character is its last key. The order comes from the construction:
+    Keys are letters (train rejects any other key), so a word's last
+    character is its last key. The order comes from the construction:
     words of one length grow from sorted prefixes along sorted successor
     lists, so each step keeps them sorted.
     """
@@ -141,27 +139,16 @@ def filter_dictionary(lattice: CandidateLattice, lexicon: Lexicon) -> list:
     """The lexicon words that are chains through the lattice, sorted.
 
     Equal to the lexicon's intersection with enumerate_words(lattice),
-    but no candidate word is built or hashed. For interval i, a table
-    marks the lattice's (key_a, key_b) edges whose keys both occur in the
-    lexicon's words of this length; a word survives if its i-th adjacent
-    pair is marked for every i. Membership is exact: lexicon entries are
-    lowercase, as are the keys of a keylog.
+    but no candidate word is built or hashed. For interval i, a mask over
+    the 26 x 26 letter pairs marks the lattice's (key_a, key_b) edges; a
+    word survives if its i-th adjacent pair is marked for every i. Model
+    keys and lexicon words are both letters a-z, so every edge and every
+    word pair has its place in the mask.
     """
     index = lexicon.of_length(len(lattice.successors) + 1)
-    if not index.words:
-        return []
-    code = index.alphabet
-    size = len(code)
-    keep = None
+    keep = np.ones(len(index.words), dtype=bool)
     for succ, pair_codes in zip(lattice.successors, index.pair_codes):
-        table = np.zeros(size * size, dtype=bool)
-        table[[code[a] * size + code[b]
-               for a, keys_b in succ.items() if a in code
-               for b in keys_b if b in code]] = True
-        if keep is None:
-            keep = table[pair_codes]
-        else:
-            keep &= table[pair_codes]
+        keep &= pair_mask(succ)[pair_codes]
     return sorted(index.words[i] for i in np.flatnonzero(keep).tolist())
 
 

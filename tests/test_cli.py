@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -222,7 +223,8 @@ class TestSegment:
         assert len(samples) == 3 and samples == sorted(set(samples))
 
 
-# Option values outside their documented range, per command.
+# Option values outside their documented range, per command. segment
+# takes no --tolerance-pct or --std-coeff: its rows are unknown options.
 BAD_OPTIONS = [
     ("segment", "--frame-ms", "0"),
     ("segment", "--frame-ms", "-1"),
@@ -435,3 +437,13 @@ class TestModelInspect:
     def test_unknown_command_usage(self):
         res = run_cli("frobnicate")
         assert res.returncode == 64
+
+
+@pytest.mark.parametrize("level,code", [("bogus", 64), ("", 64),
+                                        ("debug", 0), ("Warning", 0)])
+def test_keyecho_log_level(workspace, level, code):
+    res = run_cli("model-inspect", "--model", workspace["model"],
+                  env=dict(os.environ, KEYECHO_LOG=level))
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    assert ("KEYECHO_LOG" in res.stderr) == (code == 64)

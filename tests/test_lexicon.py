@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyecho.errors import EmptyLexicon
 from keyecho.lexicon import load_lexicon, make_lexicon
@@ -28,6 +30,27 @@ class TestLoadLexicon:
         path = tmp_path / "dup.txt"
         path.write_text("top\nTOP\ntop\n", encoding="utf-8")
         assert load_lexicon(path).words == {"top"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(" \tabzAZ1'é\x00", max_size=5), max_size=8))
+    def test_equals_make_lexicon_over_its_lines(self, tmp_path_factory,
+                                                lines):
+        path = tmp_path_factory.mktemp("lex") / "words.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        made = make_lexicon(lines)
+        if not made.words:
+            with pytest.raises(EmptyLexicon):
+                load_lexicon(path)
+            return
+        loaded = load_lexicon(path)
+        assert (loaded.words, loaded.dropped) == (made.words, made.dropped)
+
+
+class TestMakeLexicon:
+    def test_keeps_words_of_letters_and_counts_the_rest(self):
+        lex = make_lexicon({"t1p", "Top", "tép"})
+        assert lex.words == {"top"}
+        assert lex.dropped == 2
 
 
 class TestContains:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyecho.errors import (ConsistencyFailure, NonFiniteDelta,
-                            NonPositiveDelta, SchemaMismatch)
+                            NonLetterKey, NonPositiveDelta, SchemaMismatch)
 from keyecho.model import (TimingModel, candidates, load_model, save_model,
                            tolerance, train)
 
@@ -51,6 +51,12 @@ class TestTrain:
             train([("a", "b", 200.0), ("b", "c", delta)])
         with pytest.raises(NonPositiveDelta):
             train([("a", "b", -math.inf)])
+
+    @pytest.mark.parametrize("key", ["1", "A", "é", "sh", "", 5])
+    def test_non_letter_key(self, key):
+        for pair in [(key, "b", 100), ("a", key, 100)]:
+            with pytest.raises(NonLetterKey):
+                train([("a", "b", 100), pair])
 
     @given(pair_lists, st.randoms())
     @settings(max_examples=50, deadline=None)
@@ -237,9 +243,15 @@ class TestPersistence:
         with pytest.raises(SchemaMismatch, match="observation key"):
             load_model(path)
 
-    @pytest.mark.parametrize("key", ["sh", "", 5])
+    @pytest.mark.parametrize("key", ["sh", "", 5, "1", "A", "é"])
     def test_key_not_one_character(self, tmp_path, key):
+        # Written by hand, as train makes no model with such a key.
         path = tmp_path / "model.json"
-        save_model(train([(key, "b", 100)]), path)
+        path.write_text(json.dumps({
+            "version": 1,
+            "observations": [{"a": key, "b": "b", "delta_ms": 100.0}],
+            "analysis": [{"a": key, "b": "b", "mean_ms": 100.0,
+                          "std_ms": 0.0, "count": 1}],
+            "asd_ms": 0.0}))
         with pytest.raises(SchemaMismatch):
             load_model(path)

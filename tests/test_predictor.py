@@ -1,5 +1,4 @@
 import itertools
-import string
 import time
 import tracemalloc
 
@@ -10,16 +9,17 @@ from hypothesis import strategies as st
 
 from keyecho import synth
 from keyecho.errors import CandidateExplosion, NoCandidates
+from keyecho.keylog import LETTERS
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
-from keyecho.predictor import (ALPHABET, MAX_LIVE_PATHS, PredictSettings,
-                               build_tree, enumerate_words, filter_dictionary,
-                               predict)
+from keyecho.predictor import (MAX_LIVE_PATHS, PredictSettings, build_tree,
+                               enumerate_words, filter_dictionary, predict)
 from keyecho.segmenter import IntervalSequence
 
-# Model keys that are not all letters, and lexicon characters that the
-# model lacks (uppercase, a NUL, one outside the Basic Multilingual Plane).
-MODEL_KEYS = ["a", "b", "c", "1", "'", "é"]
+# Model keys, and the characters of random lexicon entries: make_lexicon
+# keeps z, lowercases Z, and drops every entry with a digit, an
+# apostrophe, é, a NUL or a character outside the Basic Multilingual Plane.
+MODEL_KEYS = ["a", "b", "c", "x", "y", "z"]
 LEXICON_CHARS = "abcz1'éZ\x00\U0001d538"
 
 
@@ -83,7 +83,7 @@ class TestBuildTree:
     def test_packed_model_explodes_before_building(self, k):
         # 26**k words (308,915,776 at k=6): the cap is met by a saturating
         # count, not by building words.
-        model = train([(a, b, 300.0) for a in ALPHABET for b in ALPHABET])
+        model = train([(a, b, 300.0) for a in LETTERS for b in LETTERS])
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -177,9 +177,8 @@ def reference_filter(lattice, lex):
     return sorted(set(lex.words) & set(enumerate_words(lattice)))
 
 
-# Words "bop" and "top", plus "t1p" through a key no lexicon word uses.
-TOP_PAIRS = [("t", "o", 300), ("b", "o", 300), ("o", "p", 400),
-             ("t", "1", 300), ("1", "p", 400)]
+# Words "bop" and "top".
+TOP_PAIRS = [("t", "o", 300), ("b", "o", 300), ("o", "p", 400)]
 
 
 class TestFilterDictionary:
@@ -203,12 +202,6 @@ class TestFilterDictionary:
         lattice = lattice_of(TOP_PAIRS, (300,))
         lex = make_lexicon({"to", "bo", "ot", "top"})
         assert filter_dictionary(lattice, lex) == ["bo", "to"]
-
-    def test_non_letter_keys_and_entries(self):
-        lattice = lattice_of(TOP_PAIRS, (300, 400))
-        assert "t1p" in enumerate_words(lattice)
-        lex = make_lexicon({"t1p", "top", "t'p", "tép"})
-        assert filter_dictionary(lattice, lex) == ["t1p", "top"]
 
     def test_results_are_sorted_not_set_ordered(self):
         pairs = [(a, b, 300) for a in "abcdef" for b in "abcdef"]
@@ -262,19 +255,19 @@ class TestLexiconIndex:
         assert lex.of_length(3).words == ("top",)
         assert lex.of_length(5).words == ()
 
-    def test_codes_follow_the_words_own_characters(self):
-        # A NUL, a lone surrogate, and 52 letters: 55 codes, 3,025 pairs.
-        letters = string.ascii_letters
-        words = {"a\x00é", "éa\ud800"} | {letters[i:i + 3]
-                                          for i in range(50)}
-        index = make_lexicon(words).of_length(3)
-        assert sorted(index.alphabet) == sorted("\x00é\ud800" + letters)
+    def test_every_letter_pair_round_trips(self):
+        # Word a+b+a holds the pair (a, b) at j = 0 and (b, a) at j = 1.
+        letters = sorted(LETTERS)
+        index = make_lexicon({a + b + a for a in letters
+                              for b in letters}).of_length(3)
+        assert len(index.words) == 26 * 26
         assert index.pair_codes.dtype == np.uint16
-        size = len(index.alphabet)
         for j in range(2):
-            for word, code in zip(index.words, index.pair_codes[j].tolist()):
-                assert code == (index.alphabet[word[j]] * size
-                                + index.alphabet[word[j + 1]])
+            codes = index.pair_codes[j].tolist()
+            assert sorted(codes) == list(range(26 * 26))
+            for word, code in zip(index.words, codes):
+                assert letters[code // 26] + letters[code % 26] == \
+                       word[j:j + 2]
 
 
 class TestPredict:
