@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
-(no candidates, not enough peaks, too many candidates, frame longer than
-the audio or shorter than one sample), 2 I/O or parse error (unreadable
-input, unwritable output), 64 usage error (including nan or inf options).
+(an errors.PipelineFailure), 2 I/O or parse error (unreadable input,
+unwritable output, any other KeyEchoError), 64 usage error (including nan
+or inf options); main() alone maps an error's class to 4 or 2.
 Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity; a name
 that is not a level is a usage error.
 """
@@ -20,8 +20,8 @@ from pathlib import Path
 import click
 
 from . import evaluation, predictor, segmenter, synth
-from .audio import AudioSignal, load_wav, ms_to_samples, write_wav
-from .errors import KeyEchoError
+from .audio import AudioSignal, load_wav, write_wav
+from .errors import KeyEchoError, PipelineFailure
 from .keylog import LETTERS, parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
@@ -73,10 +73,16 @@ def _tolerance_options(fn):
 
 
 def _word_list(words: str) -> list:
-    """Split comma-separated --words into lower-case words; none is an error."""
+    """Split comma-separated --words into lower-case words of 2 or more
+    letters a-z; none, or any other word, is a usage error."""
     word_list = [w.strip().lower() for w in words.split(",") if w.strip()]
     if not word_list:
         raise click.UsageError("--words produced an empty list")
+    for word in word_list:
+        # A lexicon keeps only words of letters; one letter has no interval.
+        if len(word) < 2 or not LETTERS.issuperset(word):
+            raise click.UsageError(
+                f"--words: {word!r} is not 2 or more letters a-z")
     return word_list
 
 
@@ -123,11 +129,7 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
                  segments_dir=segments_dir, frame_ms=frame_ms,
                  min_gap_ms=min_gap_ms)
     signal = _load(load_wav, audio)
-    frame_len = ms_to_samples(frame_ms, signal.sample_rate)
-    min_gap = ms_to_samples(min_gap_ms, signal.sample_rate)
-    with _pipeline("segmentation"):
-        energies = segmenter.energy(signal, frame_len)
-        onsets = segmenter.pick_onsets(energies, k, min_gap)
+    onsets = segmenter.find_onsets(signal, k, frame_ms, min_gap_ms)
     with _writing(out), open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "onset_sample", "onset_ms", "delta_ms"])
@@ -169,8 +171,7 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
     settings = PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                                tolerance_pct=tolerance_pct,
                                std_coeff=std_coeff, lexicon=lexicon)
-    with _pipeline("prediction"):
-        result = predictor.predict(model, signal, k, settings)
+    result = predictor.predict(model, signal, k, settings)
     if as_json:
         click.echo(result.to_json())
     else:
@@ -187,14 +188,15 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--pair-std", default=0.0, show_default=True,
-              type=click.FloatRange(min=0), callback=_finite,
+              type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
+              callback=_finite,
               help="Interval std in ms for every key pair.")
 @click.option("--noise-std", default=0.0, show_default=True,
               type=click.FloatRange(min=0), callback=_finite,
               help="Gaussian background noise sigma.")
 @click.option("--base-ms", default=200.0, show_default=True, callback=_finite,
-              help="Smallest pair mean interval, ms; must exceed the "
-                   "100 ms click.")
+              help=f"Smallest pair mean interval, ms; each mean must exceed "
+                   f"the 100 ms click and not {synth.MAX_PAIR_MS:g} ms.")
 @click.option("--spacing-ms", default=5.0, show_default=True,
               callback=_finite,
               help="Spacing between distinct pair means, ms.")
@@ -213,7 +215,7 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
                                           spacing_ms=spacing_ms,
                                           std_ms=pair_std,
                                           noise_std=noise_std, seed=seed)
-    except ValueError as exc:   # a pair mean at or below the click length
+    except ValueError as exc:   # a pair mean out of (click, MAX_PAIR_MS]
         raise click.UsageError(f"--base-ms/--spacing-ms: {exc}")
     out_dir = Path(out)
     with _writing(out_dir):
@@ -249,7 +251,8 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--pair-std", "pair_stds", multiple=True,
-              type=click.FloatRange(min=0), callback=_finite,
+              type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
+              callback=_finite,
               default=(0.0,), show_default=True,
               help="Interval std in ms; repeat the flag to run an ASD sweep.")
 @click.option("--train-reps", default=20, show_default=True,
@@ -259,20 +262,12 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               type=click.IntRange(min=1))
 @click.option("--sample-rate", default=1000, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--jobs", type=click.IntRange(min=1), hidden=True,
-              expose_value=False,
-              help="Accepted and ignored: eval runs serially.")
 @_tolerance_options
 def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
              trials_per_word, sample_rate, frame_ms, min_gap_ms,
              tolerance_pct, std_coeff):
     """Synthesize typists, train, predict, and report success rates."""
     word_list = _word_list(words)
-    for word in word_list:
-        # A lexicon keeps only words of letters; one letter has no interval.
-        if len(word) < 2 or not LETTERS.issuperset(word):
-            raise click.UsageError(
-                f"--words: {word!r} is not 2 or more letters a-z")
     _echo_config("eval", words=word_list, lexicon=lexicon_path, out=out,
                  seed=seed, pair_stds=list(pair_stds), train_reps=train_reps,
                  trials_per_word=trials_per_word, sample_rate=sample_rate,
@@ -290,17 +285,14 @@ def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
         for i, std in enumerate(pair_stds)
     ]
     if len(profiles) == 1:
-        with _pipeline("eval"):
-            report = evaluation.evaluate_profile(profiles[0], lexicon,
-                                                 settings)
+        report = evaluation.evaluate_profile(profiles[0], lexicon, settings)
         with _writing(out):
             evaluation.write_report(report, out)
         click.echo(f"success_rate: {report.success_rate:.4f}  "
                    f"ambiguity: {report.ambiguity:.2f}  "
                    f"asd_ms: {report.asd_ms:.4f}")
     else:
-        with _pipeline("eval"):
-            result = evaluation.asd_sweep(profiles, lexicon, settings)
+        result = evaluation.asd_sweep(profiles, lexicon, settings)
         with _writing(out):
             evaluation.write_sweep(result, out)
         for asd, rate in result.points:
@@ -324,14 +316,12 @@ def cmd_model_inspect(model_path):
 
 
 def _load(loader, path):
-    """Run a file loader; unreadable, undecodable or invalid input exits 2."""
+    """Run a file loader; an unreadable or undecodable file exits 2."""
     try:
         return loader(path)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise click.ClickException(f"cannot read {path}: {reason}")
-    except KeyEchoError as exc:
-        raise click.ClickException(str(exc))
 
 
 @contextmanager
@@ -342,16 +332,6 @@ def _writing(path):
     except OSError as exc:
         reason = exc.strerror or exc
         raise click.ClickException(f"cannot write {path}: {reason}")
-
-
-@contextmanager
-def _pipeline(stage):
-    """Guard pipeline steps; a KeyEchoError from them exits 4."""
-    try:
-        yield
-    except KeyEchoError as exc:
-        click.echo(f"{stage} failed: {exc}", err=True)
-        sys.exit(EXIT_PIPELINE)
 
 
 def main(argv=None) -> int:
@@ -366,6 +346,10 @@ def main(argv=None) -> int:
         sys.exit(EXIT_IO)
     except click.exceptions.Abort:
         sys.exit(EXIT_IO)
+    except KeyEchoError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(EXIT_PIPELINE if isinstance(exc, PipelineFailure)
+                 else EXIT_IO)
     return EXIT_OK
 
 

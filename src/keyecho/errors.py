@@ -5,6 +5,13 @@ class KeyEchoError(Exception):
     """Base class for all toolkit errors."""
 
 
+class PipelineFailure(KeyEchoError):
+    """The input was read, but no answer can be computed from it.
+
+    The CLI exits 4 for this family and 2 for any other KeyEchoError.
+    """
+
+
 # --- audio ---
 
 class MalformedContainer(KeyEchoError):
@@ -21,19 +28,19 @@ class EmptySignal(KeyEchoError):
 
 # --- segmenter ---
 
-class FrameTooLong(KeyEchoError):
+class FrameTooLong(PipelineFailure):
     """Sliding-window frame exceeds the signal length."""
 
 
-class FrameTooShort(KeyEchoError):
+class FrameTooShort(PipelineFailure):
     """Sliding-window frame rounds to no samples at the signal's rate."""
 
 
-class NotEnoughPeaks(KeyEchoError):
+class NotEnoughPeaks(PipelineFailure):
     """Fewer distinguishable energy peaks than requested keystrokes."""
 
 
-class TooFewOnsets(KeyEchoError):
+class TooFewOnsets(PipelineFailure):
     """Interval computation needs at least two onsets."""
 
 
@@ -67,7 +74,7 @@ class ConsistencyFailure(KeyEchoError):
 
 # --- predictor ---
 
-class NoCandidates(KeyEchoError):
+class NoCandidates(PipelineFailure):
     """Some interval matched no model pair; the word cannot be represented."""
 
     def __init__(self, step: int, delta_ms: float, t_f: float):
@@ -80,7 +87,7 @@ class NoCandidates(KeyEchoError):
         )
 
 
-class CandidateExplosion(KeyEchoError):
+class CandidateExplosion(PipelineFailure):
     """The intervals admit more candidate words than the search will build.
 
     Counted over the pruned lattice, before any word is built.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import segmenter
-from .audio import AudioSignal, ms_to_samples
+from .audio import AudioSignal
 from .errors import CandidateExplosion, NoCandidates
 from .keylog import LETTERS
 from .lexicon import Lexicon, pair_mask
@@ -157,12 +157,8 @@ def predict(model: TimingModel, signal: AudioSignal, k: int,
     """Full pipeline: energy, onsets, intervals, lattice, dictionary filter."""
     if k < 2:
         raise ValueError(f"need k >= 2 keystrokes, got {k}")
-    rate = signal.sample_rate
-    frame_len = ms_to_samples(settings.frame_ms, rate)
-    min_gap = ms_to_samples(settings.min_gap_ms, rate)
-
-    energies = segmenter.energy(signal, frame_len)
-    onsets = segmenter.pick_onsets(energies, k, min_gap)
+    onsets = segmenter.find_onsets(signal, k, settings.frame_ms,
+                                   settings.min_gap_ms)
     deltas = segmenter.intervals(onsets)
     lattice = build_tree(model, deltas, settings.tolerance_pct,
                          settings.std_coeff)
@@ -174,7 +170,7 @@ def predict(model: TimingModel, signal: AudioSignal, k: int,
 
     params = settings.as_dict()
     params["k"] = k
-    params["sample_rate"] = rate
+    params["sample_rate"] = signal.sample_rate
     return PredictionResult(
         words_all=tuple(words_all),
         words_dict=tuple(words_dict),

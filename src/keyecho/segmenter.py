@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioSignal
+from .audio import AudioSignal, ms_to_samples
 from .errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
                      TooFewOnsets)
 
@@ -199,6 +199,14 @@ def pick_onsets(energy_arr: EnergyArray, k: int, min_gap: int) -> OnsetList:
             starts[:b_hi - b_lo])
     return OnsetList(onsets=tuple(sorted(found)), frame_len=frame_len,
                      sample_rate=energy_arr.sample_rate)
+
+
+def find_onsets(signal: AudioSignal, k: int, frame_ms: float,
+                min_gap_ms: float) -> OnsetList:
+    """pick_onsets over the energy of a signal, with lengths in ms."""
+    rate = signal.sample_rate
+    energies = energy(signal, ms_to_samples(frame_ms, rate))
+    return pick_onsets(energies, k, ms_to_samples(min_gap_ms, rate))
 
 
 def intervals(onsets: OnsetList) -> IntervalSequence:

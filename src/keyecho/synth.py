@@ -18,6 +18,9 @@ from .keylog import SPACE, KeystrokeEvent, TypingSession
 _RELEASE_MS = 60.0
 # Silence inserted between words in a multi-word session.
 _WORD_GAP_MS = 1000.0
+# Largest pair mean and pair std, ms. No typist pauses 10 s inside a word,
+# and the bound keeps every drawn interval and recording length finite.
+MAX_PAIR_MS = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,13 @@ class TypistProfile:
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
         for pair, mean in self.pair_means.items():
-            if mean <= self.burst_ms:
+            if not self.burst_ms < mean <= MAX_PAIR_MS:
                 raise ValueError(
-                    f"pair {pair} mean {mean} ms must exceed burst {self.burst_ms} ms"
+                    f"pair {pair} mean {mean} ms must exceed burst "
+                    f"{self.burst_ms} ms and be at most {MAX_PAIR_MS} ms"
                 )
-        if any(s < 0 for s in self.pair_stds.values()):
-            raise ValueError("pair stds must be nonnegative")
+        if any(not 0 <= s <= MAX_PAIR_MS for s in self.pair_stds.values()):
+            raise ValueError(f"pair stds must be in [0, {MAX_PAIR_MS}] ms")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LEXICON_PATH, make_wav_bytes
+from keyecho import cli, errors, predictor
 
 CLI = [sys.executable, "-m", "keyecho.cli"]
 
@@ -244,18 +245,25 @@ BAD_OPTIONS = [
     ("eval", "--train-reps", "0"),
     ("eval", "--pair-std", "-5"),
     ("eval", "--pair-std", "nan"),
+    ("eval", "--pair-std", "1e300"),
     ("eval", "--seed", "-1"),
     ("eval", "--words", "x"),
     ("eval", "--words", "can't"),
     ("synth", "--sample-rate", "0"),
     ("synth", "--pair-std", "-5"),
     ("synth", "--pair-std", "inf"),
+    ("synth", "--pair-std", "1e300"),
     ("synth", "--noise-std", "-1"),
     ("synth", "--noise-std", "nan"),
     ("synth", "--base-ms", "50"),
     ("synth", "--base-ms", "nan"),
+    ("synth", "--base-ms", "1e308"),
     ("synth", "--spacing-ms", "-100"),
+    ("synth", "--spacing-ms", "1e308"),
     ("synth", "--seed", "-1"),
+    ("synth", "--words", "x"),
+    ("synth", "--words", "can't"),
+    ("synth", "--words", "\u00e9"),
 ] + [(command, option, value)
      for command in ("segment", "predict", "eval")
      for option, value in [("--frame-ms", "nan"), ("--frame-ms", "inf"),
@@ -269,7 +277,7 @@ def base_args(workspace, tmp_path, command):
         "predict": ["predict", wav, "--model", workspace["model"],
                     "--lexicon", LEXICON_PATH, "--k", "4"],
         "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
-                 "--out", tmp_path / "report", "--jobs", "1"],
+                 "--out", tmp_path / "report"],
         "synth": ["synth", "--words", "top", "--out", tmp_path / "report"],
     }[command]
 
@@ -311,8 +319,7 @@ def test_unwritable_output_exit_two(workspace, tmp_path, command):
                     "--k", "4"],
         "train": ["train", workspace["synth"] / "keylog.csv"],
         "synth": ["synth", "--words", "top"],
-        "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH,
-                 "--jobs", "1"],
+        "eval": ["eval", "--words", "work", "--lexicon", LEXICON_PATH],
     }[command]
     res = run_cli(*args, "--out", target)
     assert res.returncode == 2
@@ -381,6 +388,12 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    def test_words_are_lower_cased(self, tmp_path):
+        res = run_cli("synth", "--words", " Top ", "--out", tmp_path)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((tmp_path / "ground_truth.json").read_text())
+        assert [w["word"] for w in doc["words"]] == ["top"]
+
     def test_ground_truth_matches_words(self, workspace):
         doc = json.loads((workspace["synth"] / "ground_truth.json").read_text())
         assert [w["word"] for w in doc["words"]] == ["top", "work"]
@@ -393,7 +406,7 @@ class TestEval:
         out = tmp_path / "report"
         res = run_cli("eval", "--words", "work,cat,book", "--lexicon",
                       LEXICON_PATH, "--out", out, "--seed", "3",
-                      "--trials-per-word", "2", "--jobs", "1")
+                      "--trials-per-word", "2")
         assert res.returncode == 0, res.stderr
         doc = json.loads((out / "report.json").read_text())
         assert doc["success_rate"] == 1.0
@@ -404,27 +417,11 @@ class TestEval:
         res = run_cli("eval", "--words", "work,cat", "--lexicon", LEXICON_PATH,
                       "--out", out, "--pair-std", "0", "--pair-std", "30",
                       "--trials-per-word", "2", "--train-reps", "10",
-                      "--std-coeff", "0", "--jobs", "1")
+                      "--std-coeff", "0")
         assert res.returncode == 0, res.stderr
         lines = (out / "asd_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "pearson_r" in res.stdout
-
-    def test_jobs_is_an_ignored_hidden_option(self, tmp_path):
-        # eval runs serially: no --jobs, or any --jobs, writes what --jobs 1 does.
-        args = ["eval", "--words", "work,cat,book", "--lexicon", LEXICON_PATH,
-                "--seed", "3", "--trials-per-word", "2"]
-        for name, jobs in [("one", ["--jobs", "1"]), ("default", []),
-                           ("three", ["--jobs", "3"])]:
-            res = run_cli(*args, "--out", tmp_path / name, *jobs)
-            assert res.returncode == 0, res.stderr
-        for name in ["report.json", "by_length.csv"]:
-            one = (tmp_path / "one" / name).read_bytes()
-            assert (tmp_path / "default" / name).read_bytes() == one
-            assert (tmp_path / "three" / name).read_bytes() == one
-        res = run_cli("eval", "--help")
-        assert res.returncode == 0
-        assert "--jobs" not in res.stdout
 
 
 class TestModelInspect:
@@ -447,3 +444,46 @@ def test_keyecho_log_level(workspace, level, code):
     assert res.returncode == code
     assert "Traceback" not in res.stderr
     assert ("KEYECHO_LOG" in res.stderr) == (code == 64)
+
+
+# The classes whose failures exit 4; every other KeyEchoError exits 2. A
+# new error class has to join one of these two lists.
+PIPELINE_FAILURES = {
+    errors.FrameTooLong, errors.FrameTooShort, errors.NotEnoughPeaks,
+    errors.TooFewOnsets, errors.NoCandidates, errors.CandidateExplosion,
+}
+INPUT_ERRORS = {
+    errors.MalformedContainer, errors.UnsupportedEncoding,
+    errors.EmptySignal, errors.MalformedRow, errors.NonPositiveDelta,
+    errors.NonFiniteDelta, errors.NonLetterKey, errors.SchemaMismatch,
+    errors.ConsistencyFailure, errors.EmptyLexicon, errors.UnknownPair,
+    errors.OnsetOutOfRange,
+}
+
+
+def test_every_error_class_has_one_exit_family():
+    classes = {c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.KeyEchoError)}
+    family = {c for c in classes if issubclass(c, errors.PipelineFailure)}
+    assert family - {errors.PipelineFailure} == PIPELINE_FAILURES
+    assert classes - family - {errors.KeyEchoError} == INPUT_ERRORS
+
+
+@pytest.mark.parametrize("exc,code", [
+    (errors.NotEnoughPeaks("only 1 nonzero peaks available"), 4),
+    (errors.NoCandidates(step=2, delta_ms=250.0, t_f=12.5), 4),
+    (errors.SchemaMismatch("model.json: missing field 'version'"), 2),
+    (errors.OnsetOutOfRange("onset 9 ms outside [0, 5] ms"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_follows_the_error_family(workspace, tmp_path, monkeypatch,
+                                            capsys, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(predictor, "predict", fail)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([str(a) for a in base_args(workspace, tmp_path, "predict")])
+    assert exit_info.value.code == code
+    err = capsys.readouterr().err
+    assert f"Error: {exc}\n" in err
+    assert "Traceback" not in err
