@@ -35,6 +35,11 @@ EXIT_USAGE = 64
 
 log = logging.getLogger("keyecho")
 
+# The longest a WAV can play: 2^32 samples at 1 Hz. A frame or gap this
+# long exceeds every recording, and is still a finite number of samples
+# at any rate a WAV header can declare (below 2^32 Hz).
+MAX_MS = 1000.0 * 2**32
+
 
 def _echo_config(command: str, **params) -> None:
     """Emit the fully resolved run configuration for reproducibility."""
@@ -53,10 +58,12 @@ def _finite(ctx, param, value):
 def _segment_options(fn):
     """Add --frame-ms and --min-gap-ms; click lists the last added first."""
     fn = click.option("--min-gap-ms", default=100.0, show_default=True,
-                      type=click.FloatRange(min=0), callback=_finite,
+                      type=click.FloatRange(min=0, max=MAX_MS),
+                      callback=_finite,
                       help="Extra zeroed margin around each detected peak, ms.")(fn)
     return click.option("--frame-ms", default=100.0, show_default=True,
-                        type=click.FloatRange(min=0, min_open=True),
+                        type=click.FloatRange(min=0, max=MAX_MS,
+                                              min_open=True),
                         callback=_finite,
                         help="Sliding-window frame length in ms.")(fn)
 

@@ -47,7 +47,7 @@ def _run_trial(model: TimingModel, signal, true_word: str,
         return TrialRecord(true_word, 0, (), False, failure="explosion")
     return TrialRecord(
         true_word=true_word,
-        words_all_count=len(result.words_all),
+        words_all_count=result.lattice.word_count,
         words_dict=result.words_dict,
         hit=true_word in result.words_dict,
     )

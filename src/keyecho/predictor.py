@@ -1,21 +1,23 @@
-"""Candidate search: intervals in, candidate words out.
+"""Candidate search: intervals in, a lattice of candidate words out.
 
 For each observed interval the model yields the key pairs whose mean lies
 within the tolerance window. Those pairs form one successor map per
 interval, {key_a: [key_b, ...]}, and the candidate words are exactly the
 chains of keys through the successive maps. A backward pass drops the
 edges that cannot reach the last interval and counts the complete words,
-so the search gives up on an oversized word set before building any of
-it. Words are built breadth-first along the sorted maps, so they come out
-sorted with no sort.
+so the search knows how many candidates there are, and gives up on an
+oversized set, without building any word.
 
 The dictionary filter works from the lexicon's side: it checks each
 lexicon word of the right length against one table of allowed key pairs
 per interval, so its cost follows the lexicon, not the candidate count.
+The candidate words themselves are built only when a result's words_all
+is first read.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,16 +29,18 @@ from .lexicon import Lexicon, pair_mask
 from .model import TimingModel, candidates, tolerance
 
 # Candidate words allowed before build_tree gives up.
-MAX_LIVE_PATHS = 10_000_000
+MAX_WORDS = 10_000_000
 
 
 @dataclass(frozen=True)
 class CandidateLattice:
     """One {key_a: [key_b, ...]} map per interval, successor lists sorted.
 
-    Every listed edge lies on some complete word.
+    Every listed edge lies on some complete word; word_count is the number
+    of complete words, len(enumerate_words(lattice)).
     """
     successors: tuple
+    word_count: int
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,16 @@ class PredictSettings:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    words_all: tuple
+    lattice: CandidateLattice
     words_dict: tuple
     onsets_ms: tuple
     deltas_ms: tuple
     params: dict
+
+    @cached_property
+    def words_all(self) -> tuple:
+        """Every candidate word, sorted; enumerated on the first read."""
+        return tuple(enumerate_words(self.lattice))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -82,7 +91,7 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
     The first interval's pairs start from any letter; each later interval
     only from a second key of the one before. Raises NoCandidates if an
     interval matches nothing, and CandidateExplosion if the lattice holds
-    more than MAX_LIVE_PATHS complete words, before any word is built.
+    more than MAX_WORDS complete words. No word is built either way.
     """
     if len(deltas) < 1:
         raise ValueError("need at least one interval")
@@ -102,7 +111,7 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
 
     # Backward pass: completions[key] is the number of ways to finish a word
     # from key, saturated so that long dense inputs stay cheap to count.
-    cap = MAX_LIVE_PATHS + 1
+    cap = MAX_WORDS + 1
     completions = dict.fromkeys(reach, 1)
     for i in reversed(range(len(steps))):
         kept, counts = {}, {}
@@ -113,21 +122,26 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
                 counts[key_a] = min(cap, sum(completions[b] for b in live))
         steps[i] = kept
         completions = counts
-    if sum(completions.values()) > MAX_LIVE_PATHS:
+    # Below the cap no count saturated, so the sum is exact.
+    word_count = sum(completions.values())
+    if word_count > MAX_WORDS:
         raise CandidateExplosion(
-            f"more than {MAX_LIVE_PATHS} candidate words over "
+            f"more than {MAX_WORDS} candidate words over "
             f"{len(steps)} intervals"
         )
-    return CandidateLattice(successors=tuple(steps))
+    return CandidateLattice(successors=tuple(steps), word_count=word_count)
 
 
 def enumerate_words(lattice: CandidateLattice) -> list:
     """Every chain through the lattice as a word, lexicographically sorted.
 
-    Keys are letters (train rejects any other key), so a word's last
-    character is its last key. The order comes from the construction:
-    words of one length grow from sorted prefixes along sorted successor
-    lists, so each step keeps them sorted.
+    The one place candidate words are built. predict calls it only when
+    no lexicon is given; otherwise a result calls it on the first read of
+    its words_all, so a run that reads only words_dict or the lattice's
+    word_count builds none. Keys are letters (train rejects any other
+    key), so a word's last character is its last key. The order comes
+    from the construction: words of one length grow from sorted prefixes
+    along sorted successor lists, so each step keeps them sorted.
     """
     words = sorted(lattice.successors[0])
     for succ in lattice.successors:
@@ -162,17 +176,16 @@ def predict(model: TimingModel, signal: AudioSignal, k: int,
     deltas = segmenter.intervals(onsets)
     lattice = build_tree(model, deltas, settings.tolerance_pct,
                          settings.std_coeff)
-    words_all = enumerate_words(lattice)
     if settings.lexicon is not None:
         words_dict = filter_dictionary(lattice, settings.lexicon)
     else:
-        words_dict = list(words_all)
+        words_dict = enumerate_words(lattice)
 
     params = settings.as_dict()
     params["k"] = k
     params["sample_rate"] = signal.sample_rate
     return PredictionResult(
-        words_all=tuple(words_all),
+        lattice=lattice,
         words_dict=tuple(words_dict),
         onsets_ms=onsets.onsets_ms,
         deltas_ms=deltas.deltas,

@@ -267,7 +267,9 @@ BAD_OPTIONS = [
 ] + [(command, option, value)
      for command in ("segment", "predict", "eval")
      for option, value in [("--frame-ms", "nan"), ("--frame-ms", "inf"),
-                           ("--min-gap-ms", "nan"), ("--min-gap-ms", "inf")]]
+                           ("--frame-ms", "1e308"),
+                           ("--min-gap-ms", "nan"), ("--min-gap-ms", "inf"),
+                           ("--min-gap-ms", "1e308")]]
 
 
 def base_args(workspace, tmp_path, command):

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from keyecho import evaluation, synth
+from keyecho import evaluation, predictor, synth
 from keyecho.evaluation import (SweepSettings, asd_sweep, make_trials,
                                 run_eval, train_from_profile, write_report,
                                 write_sweep, _pearson)
@@ -79,6 +80,23 @@ class TestRunEval:
         report = run_eval(bad_model, lexicon, trials, PredictSettings())
         assert report.success_rate == 0.0
         assert report.failures.get("no_candidates") == len(trials)
+
+    def test_counts_candidates_without_building_them(self, clean_setup,
+                                                      monkeypatch):
+        model, trials, lexicon = clean_setup
+        settings = PredictSettings(tolerance_pct=0.3)
+        want = [len(predictor.predict(model, signal, len(word),
+                                      replace(settings, lexicon=lexicon)
+                                      ).words_all)
+                for signal, word in trials]
+
+        def refuse(lattice):
+            raise AssertionError("eval built the candidate words")
+
+        monkeypatch.setattr(predictor, "enumerate_words", refuse)
+        report = run_eval(model, lexicon, trials, settings)
+        assert [r.words_all_count for r in report.per_trial] == want
+        assert max(want) > 1
 
     def test_report_files(self, clean_setup, tmp_path):
         model, trials, lexicon = clean_setup

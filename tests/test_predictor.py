@@ -12,7 +12,7 @@ from keyecho.errors import CandidateExplosion, NoCandidates
 from keyecho.keylog import LETTERS
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
-from keyecho.predictor import (MAX_LIVE_PATHS, PredictSettings, build_tree,
+from keyecho.predictor import (MAX_WORDS, PredictSettings, build_tree,
                                enumerate_words, filter_dictionary, predict)
 from keyecho.segmenter import IntervalSequence
 
@@ -37,6 +37,24 @@ def naive_words(model, deltas, pct, std_coeff, alphabet):
         "".join(w) for w in itertools.product(alphabet, repeat=k)
         if all(pair_ok(w[i], w[i + 1], deltas[i]) for i in range(k - 1))
     )
+
+
+@st.composite
+def lattice_inputs(draw):
+    """Model pairs over a few MODEL_KEYS, and k - 1 intervals for them."""
+    keys = draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=2,
+                         max_size=6, unique=True), label="keys")
+    means = draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
+                          min_size=len(keys) ** 2, max_size=len(keys) ** 2),
+                 label="means")
+    present = draw(st.lists(st.booleans(), min_size=len(keys) ** 2,
+                            max_size=len(keys) ** 2), label="present")
+    pairs = [(a, b, m) for (a, b), m, p in
+             zip(itertools.product(keys, keys), means, present) if p]
+    k = draw(st.integers(2, 5), label="k")
+    deltas = draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
+                           min_size=k - 1, max_size=k - 1), label="deltas")
+    return pairs or [("a", "b", 200.0)], deltas
 
 
 def tree_words(model, deltas, pct, std_coeff):
@@ -73,7 +91,7 @@ class TestBuildTree:
         assert exc.value.step == 2
 
     def test_explosion_guard(self, monkeypatch):
-        monkeypatch.setattr("keyecho.predictor.MAX_LIVE_PATHS", 10)
+        monkeypatch.setattr("keyecho.predictor.MAX_WORDS", 10)
         pairs = [(a, b, 300) for a in "abcdef" for b in "abcdef"]
         model = train(pairs)
         with pytest.raises(CandidateExplosion):
@@ -96,18 +114,33 @@ class TestBuildTree:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 10 * 2**20
-        assert str(MAX_LIVE_PATHS) in str(exc.value)
+        assert str(MAX_WORDS) in str(exc.value)
 
     def test_cap_counts_complete_words(self, monkeypatch):
         # 36 pairs match the first interval, past the cap of 10, but only
         # the 6 words ending in "az" complete.
-        monkeypatch.setattr("keyecho.predictor.MAX_LIVE_PATHS", 10)
+        monkeypatch.setattr("keyecho.predictor.MAX_WORDS", 10)
         pairs = [(a, b, 300.0) for a in "abcdef" for b in "abcdef"]
         model = train(pairs + [("a", "z", 500.0)])
         words = tree_words(model, (300.0, 500.0), 0.05, 0.0)
         assert words == naive_words(model, (300.0, 500.0), 0.05, 0.0,
                                     "abcdefz")
         assert words == [x + "az" for x in "abcdef"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_inputs())
+    def test_word_count_matches_naive_oracle(self, inputs):
+        pairs, deltas = inputs
+        model = train(pairs)
+        keys = sorted({key for pair in model.stats for key in pair})
+        words = naive_words(model, deltas, 0.05, 0.0, keys)
+        try:
+            lattice = build_tree(model, IntervalSequence(deltas), 0.05, 0.0)
+        except NoCandidates:
+            assert words == []
+            return
+        assert lattice.word_count == len(enumerate_words(lattice)) == \
+               len(words)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
@@ -210,23 +243,10 @@ class TestFilterDictionary:
         assert filter_dictionary(lattice, lex) == sorted(lex.words)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_equals_intersection_with_words_all(self, data):
-        keys = data.draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=2,
-                                  max_size=6, unique=True), label="keys")
-        means = data.draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
-                                   min_size=len(keys) ** 2,
-                                   max_size=len(keys) ** 2), label="means")
-        present = data.draw(st.lists(st.booleans(), min_size=len(keys) ** 2,
-                                     max_size=len(keys) ** 2), label="present")
-        pairs = [(a, b, m) for (a, b), m, p in
-                 zip(itertools.product(keys, keys), means, present) if p]
-        k = data.draw(st.integers(2, 5), label="k")
-        deltas = data.draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
-                                    min_size=k - 1, max_size=k - 1),
-                           label="deltas")
+    @given(lattice_inputs(), st.data())
+    def test_equals_intersection_with_words_all(self, inputs, data):
         try:
-            lattice = lattice_of(pairs or [("a", "b", 200.0)], deltas)
+            lattice = lattice_of(*inputs)
         except NoCandidates:
             return
         words_all = enumerate_words(lattice)
@@ -313,6 +333,50 @@ class TestPredict:
         doc = json.loads(result.to_json())
         assert doc["words_dict"] == ["top"]
         assert doc["params"]["tolerance_pct"] == 0.05
+
+    def test_lexicon_run_builds_no_words(self, setup, monkeypatch):
+        model, signal, lex = setup
+
+        def refuse(lattice):
+            raise AssertionError("predict built the candidate words")
+
+        monkeypatch.setattr("keyecho.predictor.enumerate_words", refuse)
+        result = predict(model, signal, 3, PredictSettings(lexicon=lex))
+        assert result.words_dict == ("top",)
+        monkeypatch.undo()
+        assert result.lattice.word_count == len(result.words_all)
+
+    @staticmethod
+    def ambiguous(model):
+        """The model with "b" beside "t" and "p": bob, bop, tob and top."""
+        to, op = model.stats["t", "o"].mean_ms, model.stats["o", "p"].mean_ms
+        return train([("t", "o", to), ("b", "o", to),
+                      ("o", "p", op), ("o", "b", op)])
+
+    def test_words_all_is_built_once_on_first_read(self, setup, monkeypatch):
+        model, signal, lex = setup
+        result = predict(self.ambiguous(model), signal, 3,
+                         PredictSettings(lexicon=lex))
+        calls = []
+
+        def counting(lattice):
+            calls.append(lattice)
+            return enumerate_words(lattice)
+
+        monkeypatch.setattr("keyecho.predictor.enumerate_words", counting)
+        words = result.words_all
+        assert type(words) is tuple
+        assert words == tuple(enumerate_words(result.lattice))
+        assert words == ("bob", "bop", "tob", "top")
+        assert result.lattice.word_count == 4
+        assert result.words_all is words
+        assert calls == [result.lattice]
+
+    def test_without_lexicon_keeps_every_word(self, setup):
+        model, signal, _ = setup
+        result = predict(self.ambiguous(model), signal, 3, PredictSettings())
+        assert result.words_dict == result.words_all == \
+               ("bob", "bop", "tob", "top")
 
     def test_k_too_small(self, setup):
         model, signal, lex = setup
