@@ -20,8 +20,10 @@ SPACE = "SPACE"
 ENTER = "ENTER"
 OTHER = "OTHER"
 
-# The keys: a model's pairs and a lexicon's words are made of these only.
-LETTERS = frozenset(string.ascii_lowercase)
+# The keys, the only letters of model pairs and lexicon words. A key's code
+# is its place here; the pair (a, b) has pair code 26 * code(a) + code(b).
+ALPHABET = string.ascii_lowercase
+LETTERS = frozenset(ALPHABET)
 
 HEADER = ["key", "press_ms", "release_ms", "virtual_code", "scan_code",
           "caps", "shift"]

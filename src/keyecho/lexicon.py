@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyLexicon
-from .keylog import LETTERS
+from .keylog import ALPHABET, LETTERS
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +36,8 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.words)
 
-    def contains(self, word: str) -> bool:
-        return word.lower() in self.words
-
     def __contains__(self, word: str) -> bool:
-        return self.contains(word)
+        return word.lower() in self.words
 
     def of_length(self, n: int) -> LengthIndex:
         """The LengthIndex of the words of n >= 2 letters, cached."""
@@ -52,27 +49,17 @@ class Lexicon:
         return index
 
 
+# Each ASCII letter's key code; uint16, as the pair codes run to 675.
+_KEY_CODE = np.zeros(128, dtype=np.uint16)
+_KEY_CODE[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = range(26)
+
+
 def _pair_codes(words, n: int) -> np.ndarray:
-    """Row j: 26 * code(w[j]) + code(w[j + 1]) for each word w of n letters,
-    code(c) being c's place in a-z; uint16, widened before the product, as
-    pair codes run to 675."""
+    """Row j: the pair code (see keylog.ALPHABET) of (w[j], w[j + 1]) for
+    each word w of n letters."""
     codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    codes = (codes - ord("a")).astype(np.uint16).reshape(-1, n)
+    codes = _KEY_CODE[codes].reshape(-1, n)
     return np.ascontiguousarray((codes[:, :-1] * 26 + codes[:, 1:]).T)
-
-
-# Each letter pair's code, looked up one by one: a mask marks too few
-# pairs for _pair_codes' array set-up to pay.
-_PAIRS = [a + b for a in sorted(LETTERS) for b in sorted(LETTERS)]
-_PAIR_CODE = dict(zip(_PAIRS, _pair_codes(_PAIRS, 2)[0].tolist()))
-
-
-def pair_mask(successors: dict) -> np.ndarray:
-    """One flag per pair code, set for each pair (a, b), b in successors[a]."""
-    mask = np.zeros(26 * 26, dtype=bool)
-    mask[[_PAIR_CODE[a + b] for a, keys_b in successors.items()
-          for b in keys_b]] = True
-    return mask
 
 
 def make_lexicon(entries, source: str = "") -> Lexicon:

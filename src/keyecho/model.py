@@ -9,11 +9,14 @@ even typists have a small ASD and are easier to attack.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (ConsistencyFailure, NonFiniteDelta, NonLetterKey,
                      NonPositiveDelta, SchemaMismatch)
-from .keylog import LETTERS
+from .keylog import ALPHABET, LETTERS
 
 MODEL_VERSION = 1
 
@@ -36,6 +39,14 @@ class TimingModel:
     @property
     def pair_count(self) -> int:
         return len(self.stats)
+
+    @cached_property
+    def pair_means(self) -> np.ndarray:
+        """mean_ms by pair code (see keylog.ALPHABET), NaN if never seen."""
+        means = np.full(26 * 26, np.nan)
+        for (a, b), s in self.stats.items():
+            means[26 * ALPHABET.index(a) + ALPHABET.index(b)] = s.mean_ms
+        return means
 
 
 def train(pairs) -> TimingModel:
@@ -86,19 +97,14 @@ def tolerance(model: TimingModel, delta_ms: float, pct: float,
 
 
 def candidates(model: TimingModel, delta_ms: float, t_f: float,
-               allowed_first) -> list:
-    """All pairs whose mean lies within t_f of the interval, first key allowed.
-
-    Returned as (key_a, key_b, mean_ms) sorted by (key_a, key_b).
-    """
+               allowed_first) -> np.ndarray:
+    """Ascending codes of the pairs whose mean lies within t_f of the interval
+    and whose first key's flag is set in allowed_first, 26 bools."""
     if t_f < 0:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
-    out = [(key_a, key_b, s.mean_ms)
-           for (key_a, key_b), s in model.stats.items()
-           if key_a in allowed_first
-           and s.mean_ms - t_f <= delta_ms <= s.mean_ms + t_f]
-    out.sort()
-    return out
+    means = model.pair_means.reshape(26, 26)   # NaN compares False
+    match = (means - t_f <= delta_ms) & (delta_ms <= means + t_f)
+    return np.flatnonzero(match & np.asarray(allowed_first)[:, None])
 
 
 def save_model(model: TimingModel, path) -> None:
@@ -122,10 +128,19 @@ def _non_finite(literal):
     raise ValueError(f"non-finite number {literal}")
 
 
+def _json_numbers(rows, key, types=(int, float)):
+    """TypeError unless JSON parsed row[key] as one of types in every row."""
+    wrong = {type(row[key]) for row in rows}.difference(types)
+    if wrong:
+        raise TypeError(f"a {key} is a {wrong.pop().__name__}, not "
+                        f"{' or '.join(t.__name__ for t in types)}")
+
+
 def load_model(path) -> TimingModel:
     """Read a model file and verify its analysis against the raw rows.
 
-    NaN and Infinity, which JSON itself does not allow, are a SchemaMismatch.
+    Every number must be a JSON number, count and version integers; NaN
+    and Infinity, which JSON itself does not allow, are a SchemaMismatch.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -138,18 +153,20 @@ def load_model(path) -> TimingModel:
     for fld in ("version", "observations", "analysis", "asd_ms"):
         if fld not in doc:
             raise SchemaMismatch(f"{path}: missing field {fld!r}")
-    if doc["version"] != MODEL_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != MODEL_VERSION:
         raise SchemaMismatch(f"{path}: unsupported version {doc['version']!r}")
     try:
+        for rows, key in ((doc["observations"], "delta_ms"),
+                          (doc["analysis"], "mean_ms"),
+                          (doc["analysis"], "std_ms"), ([doc], "asd_ms")):
+            _json_numbers(rows, key)
+        _json_numbers(doc["analysis"], "count", (int,))
         observations = [(row["a"], row["b"], float(row["delta_ms"]))
                         for row in doc["observations"]]
-        stored = {
-            (row["a"], row["b"]): PairStats(row["a"], row["b"],
-                                            float(row["mean_ms"]),
-                                            float(row["std_ms"]),
-                                            int(row["count"]))
-            for row in doc["analysis"]
-        }
+        stored = {(row["a"], row["b"]): PairStats(
+                      row["a"], row["b"], float(row["mean_ms"]),
+                      float(row["std_ms"]), row["count"])
+                  for row in doc["analysis"]}
         asd_ms = float(doc["asd_ms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None

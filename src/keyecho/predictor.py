@@ -1,18 +1,17 @@
 """Candidate search: intervals in, a lattice of candidate words out.
 
 For each observed interval the model yields the key pairs whose mean lies
-within the tolerance window. Those pairs form one successor map per
-interval, {key_a: [key_b, ...]}, and the candidate words are exactly the
-chains of keys through the successive maps. A backward pass drops the
-edges that cannot reach the last interval and counts the complete words,
-so the search knows how many candidates there are, and gives up on an
-oversized set, without building any word.
+within the tolerance window, held as one 26 x 26 bool mask: mask[a, b] is
+set when the keys coded a and b match. The candidate words are exactly
+the chains of keys through the successive masks. A backward pass drops
+the pairs that cannot reach the last interval and counts the complete
+words, so the search knows how many candidates there are, and gives up on
+an oversized set, without building any word.
 
-The dictionary filter works from the lexicon's side: it checks each
-lexicon word of the right length against one table of allowed key pairs
-per interval, so its cost follows the lexicon, not the candidate count.
-The candidate words themselves are built only when a result's words_all
-is first read.
+The dictionary filter works from the lexicon's side: it looks up each
+lexicon word's adjacent pairs, by pair code, in the masks, so its cost
+follows the lexicon, not the candidate count. The candidate words are
+built only when a result's words_all is first read.
 """
 
 import json
@@ -24,22 +23,22 @@ import numpy as np
 from . import segmenter
 from .audio import AudioSignal
 from .errors import CandidateExplosion, NoCandidates
-from .keylog import LETTERS
-from .lexicon import Lexicon, pair_mask
+from .keylog import ALPHABET
+from .lexicon import Lexicon
 from .model import TimingModel, candidates, tolerance
 
 # Candidate words allowed before build_tree gives up.
 MAX_WORDS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateLattice:
-    """One {key_a: [key_b, ...]} map per interval, successor lists sorted.
+    """One 26 x 26 bool mask per interval, indexed by key codes [a, b].
 
-    Every listed edge lies on some complete word; word_count is the number
+    Every set pair lies on some complete word; word_count is the number
     of complete words, len(enumerate_words(lattice)).
     """
-    successors: tuple
+    masks: tuple
     word_count: int
 
 
@@ -86,9 +85,9 @@ class PredictionResult:
 
 def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
                pct: float, std_coeff: float) -> CandidateLattice:
-    """Chain each interval's candidate pairs into a pruned successor lattice.
+    """Mask each interval's candidate pairs, then prune the masks to words.
 
-    The first interval's pairs start from any letter; each later interval
+    The first interval's pairs start from any key; each later interval
     only from a second key of the one before. Raises NoCandidates if an
     interval matches nothing, and CandidateExplosion if the lattice holds
     more than MAX_WORDS complete words. No word is built either way.
@@ -96,40 +95,32 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
     if len(deltas) < 1:
         raise ValueError("need at least one interval")
 
-    steps = []
-    reach = LETTERS
+    masks = []
+    reach = np.ones(26, dtype=bool)
     for i, delta_ms in enumerate(deltas.deltas, start=1):
         t_f = tolerance(model, delta_ms, pct, std_coeff)
-        cands = candidates(model, delta_ms, t_f, reach)
-        if not cands:
+        codes = candidates(model, delta_ms, t_f, reach)
+        if not codes.size:
             raise NoCandidates(step=i, delta_ms=delta_ms, t_f=t_f)
-        succ = {}
-        for key_a, key_b, _ in cands:
-            succ.setdefault(key_a, []).append(key_b)
-        steps.append(succ)
-        reach = frozenset(key_b for _, key_b, _ in cands)
+        masks.append(np.zeros((26, 26), dtype=bool))
+        masks[-1].flat[codes] = True
+        reach = masks[-1].any(axis=0)
 
     # Backward pass: completions[key] is the number of ways to finish a word
-    # from key, saturated so that long dense inputs stay cheap to count.
-    cap = MAX_WORDS + 1
-    completions = dict.fromkeys(reach, 1)
-    for i in reversed(range(len(steps))):
-        kept, counts = {}, {}
-        for key_a, keys_b in steps[i].items():
-            live = [key_b for key_b in keys_b if key_b in completions]
-            if live:
-                kept[key_a] = live
-                counts[key_a] = min(cap, sum(completions[b] for b in live))
-        steps[i] = kept
-        completions = counts
+    # from key, capped at MAX_WORDS + 1 to stay cheap on long dense inputs.
+    # The cap keeps every sum below 26 * (MAX_WORDS + 1): no int64 overflow.
+    completions = np.ones(26, dtype=np.int64)
+    for mask in reversed(masks):
+        mask &= completions > 0
+        completions = np.minimum(mask @ completions, MAX_WORDS + 1)
     # Below the cap no count saturated, so the sum is exact.
-    word_count = sum(completions.values())
+    word_count = int(completions.sum())
     if word_count > MAX_WORDS:
         raise CandidateExplosion(
             f"more than {MAX_WORDS} candidate words over "
-            f"{len(steps)} intervals"
+            f"{len(masks)} intervals"
         )
-    return CandidateLattice(successors=tuple(steps), word_count=word_count)
+    return CandidateLattice(masks=tuple(masks), word_count=word_count)
 
 
 def enumerate_words(lattice: CandidateLattice) -> list:
@@ -139,13 +130,16 @@ def enumerate_words(lattice: CandidateLattice) -> list:
     no lexicon is given; otherwise a result calls it on the first read of
     its words_all, so a run that reads only words_dict or the lattice's
     word_count builds none. Keys are letters (train rejects any other
-    key), so a word's last character is its last key. The order comes
-    from the construction: words of one length grow from sorted prefixes
-    along sorted successor lists, so each step keeps them sorted.
+    key), so a word's last character is its last key. Words grow from
+    sorted one-key prefixes along each mask's set pairs, read row by row
+    in ascending code order, so each step keeps them sorted.
     """
-    words = sorted(lattice.successors[0])
-    for succ in lattice.successors:
-        words = [w + b for w in words for b in succ[w[-1]]]
+    words = list(ALPHABET)
+    for mask in lattice.masks:
+        nexts = {}
+        for a, b in np.argwhere(mask).tolist():
+            nexts.setdefault(ALPHABET[a], []).append(ALPHABET[b])
+        words = [w + b for w in words for b in nexts.get(w[-1], ())]
     return words
 
 
@@ -153,16 +147,15 @@ def filter_dictionary(lattice: CandidateLattice, lexicon: Lexicon) -> list:
     """The lexicon words that are chains through the lattice, sorted.
 
     Equal to the lexicon's intersection with enumerate_words(lattice),
-    but no candidate word is built or hashed. For interval i, a mask over
-    the 26 x 26 letter pairs marks the lattice's (key_a, key_b) edges; a
-    word survives if its i-th adjacent pair is marked for every i. Model
-    keys and lexicon words are both letters a-z, so every edge and every
-    word pair has its place in the mask.
+    but no candidate word is built or hashed: a word survives if its i-th
+    adjacent pair is set in mask i for every i, each pair looked up by its
+    pair code. Model keys and lexicon words are both letters a-z, so every
+    word pair has its place in the masks.
     """
-    index = lexicon.of_length(len(lattice.successors) + 1)
+    index = lexicon.of_length(len(lattice.masks) + 1)
     keep = np.ones(len(index.words), dtype=bool)
-    for succ, pair_codes in zip(lattice.successors, index.pair_codes):
-        keep &= pair_mask(succ)[pair_codes]
+    for mask, pair_codes in zip(lattice.masks, index.pair_codes):
+        keep &= mask.ravel()[pair_codes]
     return sorted(index.words[i] for i in np.flatnonzero(keep).tolist())
 
 

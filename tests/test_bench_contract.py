@@ -73,6 +73,10 @@ def test_traced_predict_gives_every_per_layer_metric(recording):
     assert metrics["predictor.words_all"]["value"] == 4
     assert metrics["predictor.words_dict"]["value"] == 2
     assert metrics["predictor.dict_yield"]["value"] == 0.5
+    # One candidates call per interval, and the pairs it matched: (b, o)
+    # and (t, o), then (o, b) and (o, p). A mask would count 26 per call.
+    assert metrics["model.candidates.calls"]["value"] == 2
+    assert metrics["model.pairs_matched"]["value"] == 4
     assert result.words_dict == ("bob", "top")
     for span in ("predictor.build_tree", "predictor.filter_dictionary",
                  "segmenter.energy", "audio.load_wav"):

@@ -22,7 +22,7 @@ class TestLoadLexicon:
 
     def test_shipped_lexicon_has_study_words(self, small_lexicon, study_words):
         for word in study_words:
-            assert small_lexicon.contains(word)
+            assert word in small_lexicon
         assert "work" in small_lexicon
         assert len(small_lexicon) == 121  # 21 study words + 100 decoys
 
@@ -56,7 +56,6 @@ class TestMakeLexicon:
 class TestContains:
     def test_membership(self):
         lex = make_lexicon({"top"})
-        assert lex.contains("top")
-        assert lex.contains("TOP")
-        assert not lex.contains("xyz")
         assert "top" in lex
+        assert "TOP" in lex
+        assert "xyz" not in lex
