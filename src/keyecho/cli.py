@@ -3,7 +3,11 @@
 Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
 (an errors.PipelineFailure), 2 I/O or parse error (unreadable input,
 unwritable output, any other KeyEchoError), 64 usage error (including nan
-or inf options); main() alone maps an error's class to 4 or 2.
+or inf options). A command returns its non-zero code (predict's 3), or
+nothing for 0; main() alone maps an error's class to 4 or 2, and main()
+alone calls sys.exit.
+Each command echoes its parsed parameters, under their parameter names,
+as a JSON run_config line on stderr before it runs.
 Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity; a name
 that is not a level is a usage error.
 """
@@ -22,6 +26,7 @@ import click
 from . import evaluation, predictor, segmenter, synth
 from .audio import AudioSignal, load_wav, write_wav
 from .errors import KeyEchoError, PipelineFailure
+from .evaluation import SweepSettings
 from .keylog import LETTERS, parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
@@ -41,10 +46,17 @@ log = logging.getLogger("keyecho")
 MAX_MS = 1000.0 * 2**32
 
 
-def _echo_config(command: str, **params) -> None:
-    """Emit the fully resolved run configuration for reproducibility."""
-    doc = {"run_config": {"command": command, **params}}
-    click.echo(json.dumps(doc, sort_keys=True), err=True)
+class _Command(click.Command):
+    """A command that echoes its parsed parameters before it runs."""
+
+    def invoke(self, ctx):
+        doc = {"run_config": {"command": self.name, **ctx.params}}
+        click.echo(json.dumps(doc, sort_keys=True), err=True)
+        return super().invoke(ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _finite(ctx, param, value):
@@ -57,29 +69,32 @@ def _finite(ctx, param, value):
 
 def _segment_options(fn):
     """Add --frame-ms and --min-gap-ms; click lists the last added first."""
-    fn = click.option("--min-gap-ms", default=100.0, show_default=True,
+    fn = click.option("--min-gap-ms", default=PredictSettings.min_gap_ms,
+                      show_default=True, callback=_finite,
                       type=click.FloatRange(min=0, max=MAX_MS),
-                      callback=_finite,
                       help="Extra zeroed margin around each detected peak, ms.")(fn)
-    return click.option("--frame-ms", default=100.0, show_default=True,
+    return click.option("--frame-ms", default=PredictSettings.frame_ms,
+                        show_default=True, callback=_finite,
                         type=click.FloatRange(min=0, max=MAX_MS,
                                               min_open=True),
-                        callback=_finite,
                         help="Sliding-window frame length in ms.")(fn)
 
 
 def _tolerance_options(fn):
     """Add the segment options, then --tolerance-pct and --std-coeff."""
-    fn = click.option("--std-coeff", default=1.0, show_default=True,
-                      type=click.FloatRange(min=0), callback=_finite,
+    fn = click.option("--std-coeff", default=PredictSettings.std_coeff,
+                      show_default=True, callback=_finite,
+                      type=click.FloatRange(min=0),
                       help="Weight of the model ASD in the matching range.")(fn)
-    fn = click.option("--tolerance-pct", default=0.05, show_default=True,
-                      type=click.FloatRange(min=0), callback=_finite,
+    fn = click.option("--tolerance-pct",
+                      default=PredictSettings.tolerance_pct,
+                      show_default=True, callback=_finite,
+                      type=click.FloatRange(min=0),
                       help="Interval-matching range as a fraction of the interval.")(fn)
     return _segment_options(fn)
 
 
-def _word_list(words: str) -> list:
+def _word_list(ctx, param, words: str) -> list:
     """Split comma-separated --words into lower-case words of 2 or more
     letters a-z; none, or any other word, is a usage error."""
     word_list = [w.strip().lower() for w in words.split(",") if w.strip()]
@@ -93,7 +108,7 @@ def _word_list(words: str) -> list:
     return word_list
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Recover typed words from keyboard audio using timing models."""
     level = os.environ.get("KEYECHO_LOG", "WARNING").upper()
@@ -109,7 +124,6 @@ def cli():
               help="Where to write the model JSON.")
 def cmd_train(keylogs, out):
     """Train a timing model from one or more keystroke log CSVs."""
-    _echo_config("train", keylogs=list(keylogs), out=out)
     pairs = []
     for path in keylogs:
         pairs.extend(session_to_pairs(_load(parse_keylog, path)))
@@ -118,7 +132,6 @@ def cmd_train(keylogs, out):
         save_model(model, out)
     click.echo(f"pairs: {model.pair_count}  observations: "
                f"{len(model.observations)}  asd_ms: {model.asd_ms:.4f}")
-    sys.exit(EXIT_OK)
 
 
 @cli.command("segment")
@@ -132,9 +145,6 @@ def cmd_train(keylogs, out):
 @_segment_options
 def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
     """Locate keystroke onsets in a WAV file and write them as CSV."""
-    _echo_config("segment", audio=audio, k=k, out=out,
-                 segments_dir=segments_dir, frame_ms=frame_ms,
-                 min_gap_ms=min_gap_ms)
     signal = _load(load_wav, audio)
     onsets = segmenter.find_onsets(signal, k, frame_ms, min_gap_ms)
     with _writing(out), open(out, "w", newline="") as fh:
@@ -154,41 +164,36 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
                 chunk = AudioSignal(signal.samples[lo:hi], signal.sample_rate)
                 write_wav(seg_dir / f"segment_{i:03d}.wav", chunk)
     click.echo(f"wrote {len(onsets)} onsets to {out}")
-    sys.exit(EXIT_OK)
 
 
 @cli.command("predict")
 @click.argument("audio", type=click.Path())
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--lexicon", "lexicon_path", required=True, type=click.Path())
+@click.option("--model", required=True, type=click.Path())
+@click.option("--lexicon", required=True, type=click.Path())
 @click.option("--k", required=True, type=click.IntRange(min=2),
               help="Number of keystrokes.")
-@click.option("--json", "as_json", is_flag=True, help="Emit full JSON result.")
+@click.option("--json", is_flag=True, help="Emit full JSON result.")
 @_tolerance_options
-def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
-                min_gap_ms, tolerance_pct, std_coeff):
+def cmd_predict(audio, model, lexicon, k, json, frame_ms, min_gap_ms,
+                tolerance_pct, std_coeff):
     """Predict the typed word from a WAV recording of k keystrokes."""
-    _echo_config("predict", audio=audio, model=model_path,
-                 lexicon=lexicon_path, k=k, frame_ms=frame_ms,
-                 min_gap_ms=min_gap_ms, tolerance_pct=tolerance_pct,
-                 std_coeff=std_coeff, json=as_json)
-    model = _load(load_model, model_path)
-    lexicon = _load(load_lexicon, lexicon_path)
+    timing_model = _load(load_model, model)
+    lex = _load(load_lexicon, lexicon)
     signal = _load(load_wav, audio)
     settings = PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                                tolerance_pct=tolerance_pct,
-                               std_coeff=std_coeff, lexicon=lexicon)
-    result = predictor.predict(model, signal, k, settings)
-    if as_json:
+                               std_coeff=std_coeff, lexicon=lex)
+    result = predictor.predict(timing_model, signal, k, settings)
+    if json:
         click.echo(result.to_json())
     else:
         for word in result.words_dict:
             click.echo(word)
-    sys.exit(EXIT_OK if result.words_dict else EXIT_EMPTY)
+    return EXIT_OK if result.words_dict else EXIT_EMPTY
 
 
 @cli.command("synth")
-@click.option("--words", required=True,
+@click.option("--words", required=True, callback=_word_list,
               help="Comma-separated words to synthesize.")
 @click.option("--out", required=True, type=click.Path(),
               help="Output directory.")
@@ -209,16 +214,12 @@ def cmd_predict(audio, model_path, lexicon_path, k, as_json, frame_ms,
               help="Spacing between distinct pair means, ms.")
 @click.option("--sample-rate", default=8000, show_default=True,
               type=click.IntRange(min=1))
-def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
+@click.pass_context
+def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               sample_rate):
     """Generate synthetic typing audio, keylog, and ground truth."""
-    word_list = _word_list(words)
-    cfg = dict(words=word_list, out=out, seed=seed, pair_std=pair_std,
-               noise_std=noise_std, base_ms=base_ms, spacing_ms=spacing_ms,
-               sample_rate=sample_rate)
-    _echo_config("synth", **cfg)
     try:
-        profile = synth.profile_for_words(word_list, base_ms=base_ms,
+        profile = synth.profile_for_words(words, base_ms=base_ms,
                                           spacing_ms=spacing_ms,
                                           std_ms=pair_std,
                                           noise_std=noise_std, seed=seed)
@@ -227,32 +228,29 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
     out_dir = Path(out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    syn = synth.synth_session(profile, word_list)
+    syn = synth.synth_session(profile, words)
     write_keylog(out_dir / "keylog.csv", syn.session)
     # Recorded config omits the output path so identical seeds give
     # byte-identical artifacts regardless of destination.
-    truth = {"run_config": {k: v for k, v in cfg.items() if k != "out"},
+    truth = {"run_config": {k: v for k, v in ctx.params.items() if k != "out"},
              "pair_means": {f"{a}{b}": m for (a, b), m in
                             sorted(profile.pair_means.items())},
              "words": []}
-    for i, (word, onsets) in enumerate(zip(word_list, syn.word_onsets_ms)):
-        total_ms = onsets[-1] + profile.burst_ms + 200.0
-        signal = synth.synth_audio(onsets, profile, sample_rate, total_ms,
-                                   task=i)
+    for i, (word, onsets) in enumerate(zip(words, syn.word_onsets_ms)):
+        signal = synth.word_audio(onsets, profile, sample_rate, task=i)
         wav_name = f"word_{i:03d}_{word}.wav"
         write_wav(out_dir / wav_name, signal)
         truth["words"].append({"word": word, "wav": wav_name,
                                "onsets_ms": list(onsets)})
     (out_dir / "ground_truth.json").write_text(
         json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    click.echo(f"wrote {len(word_list)} words to {out_dir}")
-    sys.exit(EXIT_OK)
+    click.echo(f"wrote {len(words)} words to {out_dir}")
 
 
 @cli.command("eval")
-@click.option("--words", required=True,
+@click.option("--words", required=True, callback=_word_list,
               help="Comma-separated words to synthesize and score.")
-@click.option("--lexicon", "lexicon_path", required=True, type=click.Path())
+@click.option("--lexicon", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(),
               help="Report output directory.")
 @click.option("--seed", default=0, show_default=True,
@@ -262,64 +260,56 @@ def cmd_synth(words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               callback=_finite,
               default=(0.0,), show_default=True,
               help="Interval std in ms; repeat the flag to run an ASD sweep.")
-@click.option("--train-reps", default=20, show_default=True,
-              type=click.IntRange(min=1),
+@click.option("--train-reps", default=SweepSettings.train_reps,
+              show_default=True, type=click.IntRange(min=1),
               help="Times each word is typed in the training session.")
-@click.option("--trials-per-word", default=3, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--sample-rate", default=1000, show_default=True,
-              type=click.IntRange(min=1))
+@click.option("--trials-per-word", default=SweepSettings.trials_per_word,
+              show_default=True, type=click.IntRange(min=1))
+@click.option("--sample-rate", default=SweepSettings.sample_rate,
+              show_default=True, type=click.IntRange(min=1))
 @_tolerance_options
-def cmd_eval(words, lexicon_path, out, seed, pair_stds, train_reps,
+def cmd_eval(words, lexicon, out, seed, pair_stds, train_reps,
              trials_per_word, sample_rate, frame_ms, min_gap_ms,
              tolerance_pct, std_coeff):
     """Synthesize typists, train, predict, and report success rates."""
-    word_list = _word_list(words)
-    _echo_config("eval", words=word_list, lexicon=lexicon_path, out=out,
-                 seed=seed, pair_stds=list(pair_stds), train_reps=train_reps,
-                 trials_per_word=trials_per_word, sample_rate=sample_rate,
-                 frame_ms=frame_ms, min_gap_ms=min_gap_ms,
-                 tolerance_pct=tolerance_pct, std_coeff=std_coeff)
-    lexicon = _load(load_lexicon, lexicon_path)
-    settings = evaluation.SweepSettings(
-        words=tuple(word_list), train_reps=train_reps,
+    lex = _load(load_lexicon, lexicon)
+    settings = SweepSettings(
+        words=tuple(words), train_reps=train_reps,
         trials_per_word=trials_per_word, sample_rate=sample_rate,
         predict=PredictSettings(frame_ms=frame_ms, min_gap_ms=min_gap_ms,
                                 tolerance_pct=tolerance_pct,
                                 std_coeff=std_coeff))
     profiles = [
-        synth.profile_for_words(word_list, std_ms=std, seed=seed + i)
+        synth.profile_for_words(words, std_ms=std, seed=seed + i)
         for i, std in enumerate(pair_stds)
     ]
     if len(profiles) == 1:
-        report = evaluation.evaluate_profile(profiles[0], lexicon, settings)
+        report = evaluation.evaluate_profile(profiles[0], lex, settings)
         with _writing(out):
             evaluation.write_report(report, out)
         click.echo(f"success_rate: {report.success_rate:.4f}  "
                    f"ambiguity: {report.ambiguity:.2f}  "
                    f"asd_ms: {report.asd_ms:.4f}")
     else:
-        result = evaluation.asd_sweep(profiles, lexicon, settings)
+        result = evaluation.asd_sweep(profiles, lex, settings)
         with _writing(out):
             evaluation.write_sweep(result, out)
         for asd, rate in result.points:
             click.echo(f"asd_ms: {asd:.4f}  success_rate: {rate:.4f}")
         click.echo(f"pearson_r: {result.pearson_r:.4f}")
-    sys.exit(EXIT_OK)
 
 
 @cli.command("model-inspect")
-@click.option("--model", "model_path", required=True, type=click.Path())
-def cmd_model_inspect(model_path):
+@click.option("--model", required=True, type=click.Path())
+def cmd_model_inspect(model):
     """Print the per-pair analysis table of a trained model."""
-    _echo_config("model-inspect", model=model_path)
-    model = _load(load_model, model_path)
+    timing_model = _load(load_model, model)
     click.echo(f"{'pair':>6}  {'mean_ms':>10}  {'std_ms':>10}  {'count':>6}")
-    for (a, b), s in sorted(model.stats.items()):
+    for (a, b), s in sorted(timing_model.stats.items()):
         click.echo(f"{a + b:>6}  {s.mean_ms:>10.3f}  {s.std_ms:>10.3f}  "
                    f"{s.count:>6}")
-    click.echo(f"asd_ms: {model.asd_ms:.4f}  pairs: {model.pair_count}")
-    sys.exit(EXIT_OK)
+    click.echo(f"asd_ms: {timing_model.asd_ms:.4f}  "
+               f"pairs: {timing_model.pair_count}")
 
 
 def _load(loader, path):
@@ -341,23 +331,22 @@ def _writing(path):
         raise click.ClickException(f"cannot write {path}: {reason}")
 
 
-def main(argv=None) -> int:
-    """Run the CLI with the documented exit-code contract."""
+def main(argv=None):
+    """Run the CLI and exit with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        code = cli.main(args=argv, standalone_mode=False) or EXIT_OK
     except click.UsageError as exc:
         exc.show()
-        sys.exit(EXIT_USAGE)
+        code = EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
-        sys.exit(EXIT_IO)
+        code = EXIT_IO
     except click.exceptions.Abort:
-        sys.exit(EXIT_IO)
+        code = EXIT_IO
     except KeyEchoError as exc:
         click.echo(f"Error: {exc}", err=True)
-        sys.exit(EXIT_PIPELINE if isinstance(exc, PipelineFailure)
-                 else EXIT_IO)
-    return EXIT_OK
+        code = EXIT_PIPELINE if isinstance(exc, PipelineFailure) else EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

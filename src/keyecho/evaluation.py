@@ -102,10 +102,8 @@ def make_trials(profile: TypistProfile, words, sample_rate: int,
     for _ in range(reps):
         for word in words:
             syn = synth.synth_session(profile, [word], task=task)
-            onsets = syn.word_onsets_ms[0]
-            total_ms = onsets[-1] + profile.burst_ms + 200.0
-            signal = synth.synth_audio(onsets, profile, sample_rate, total_ms,
-                                       task=task)
+            signal = synth.word_audio(syn.word_onsets_ms[0], profile,
+                                      sample_rate, task=task)
             trials.append((signal, word))
             task += 1
     return trials

@@ -18,6 +18,8 @@ from .keylog import SPACE, KeystrokeEvent, TypingSession
 _RELEASE_MS = 60.0
 # Silence inserted between words in a multi-word session.
 _WORD_GAP_MS = 1000.0
+# Silence after the last click of a synthesized word, ms.
+_TAIL_MS = 200.0
 # Largest pair mean and pair std, ms. No typist pauses 10 s inside a word,
 # and the bound keeps every drawn interval and recording length finite.
 MAX_PAIR_MS = 10_000.0
@@ -109,6 +111,13 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
     rate = clamped / intervals if intervals else 0.0
     return SessionSynthesis(session=session, word_onsets_ms=tuple(word_onsets),
                             truncation_rate=rate)
+
+
+def word_audio(onsets_ms, profile: TypistProfile, sample_rate: int,
+               task: int = 0) -> AudioSignal:
+    """synth_audio of one word, ending _TAIL_MS after its last click ends."""
+    total_ms = onsets_ms[-1] + profile.burst_ms + _TAIL_MS
+    return synth_audio(onsets_ms, profile, sample_rate, total_ms, task=task)
 
 
 def synth_audio(onsets_ms, profile: TypistProfile, sample_rate: int,

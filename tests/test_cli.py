@@ -93,10 +93,11 @@ class TestTrain:
 
     def test_echoes_run_config(self, workspace):
         out = workspace["root"] / "model3.json"
-        res = run_cli("train", workspace["synth"] / "keylog.csv", "--out", out)
+        keylog = workspace["synth"] / "keylog.csv"
+        res = run_cli("train", keylog, "--out", out)
         line = next(l for l in res.stderr.splitlines() if "run_config" in l)
-        cfg = json.loads(line)["run_config"]
-        assert cfg["command"] == "train"
+        assert json.loads(line) == {"run_config": {
+            "command": "train", "keylogs": [str(keylog)], "out": str(out)}}
 
 
 class TestPredict:
@@ -396,6 +397,13 @@ class TestSynth:
         doc = json.loads((tmp_path / "ground_truth.json").read_text())
         assert [w["word"] for w in doc["words"]] == ["top"]
 
+    def test_ground_truth_records_run_config_without_out(self, workspace):
+        doc = json.loads((workspace["synth"] / "ground_truth.json").read_text())
+        assert doc["run_config"] == {
+            "words": ["top", "work"], "seed": 7, "pair_std": 0.0,
+            "noise_std": 0.0, "base_ms": 200.0, "spacing_ms": 5.0,
+            "sample_rate": 8000}
+
     def test_ground_truth_matches_words(self, workspace):
         doc = json.loads((workspace["synth"] / "ground_truth.json").read_text())
         assert [w["word"] for w in doc["words"]] == ["top", "work"]
@@ -436,6 +444,71 @@ class TestModelInspect:
     def test_unknown_command_usage(self):
         res = run_cli("frobnicate")
         assert res.returncode == 64
+
+
+PREDICT_DEFAULTS = {"frame_ms": 100.0, "min_gap_ms": 100.0,
+                    "tolerance_pct": 0.05, "std_coeff": 1.0}
+
+
+def run_config_cases(workspace, out):
+    """(argv, the run_config it must echo) for each of the six commands."""
+    keylog, model = workspace["synth"] / "keylog.csv", workspace["model"]
+    wav = workspace["synth"] / "word_001_work.wav"
+    lexicon = str(LEXICON_PATH)
+    return {
+        "train": (["train", keylog, "--out", out],
+                  {"keylogs": [str(keylog)], "out": str(out)}),
+        "segment": (["segment", wav, "--k", "4", "--out", out,
+                     "--frame-ms", "90"],
+                    {"audio": str(wav), "k": 4, "out": str(out),
+                     "segments_dir": None, "frame_ms": 90.0,
+                     "min_gap_ms": 100.0}),
+        "predict": (["predict", wav, "--model", model, "--lexicon", lexicon,
+                     "--k", "4", "--json"],
+                    {"audio": str(wav), "model": str(model),
+                     "lexicon": lexicon, "k": 4, "json": True,
+                     **PREDICT_DEFAULTS}),
+        "synth": (["synth", "--words", " Top,cat", "--out", out,
+                   "--pair-std", "2", "--sample-rate", "1000"],
+                  {"words": ["top", "cat"], "out": str(out), "seed": 0,
+                   "pair_std": 2.0, "noise_std": 0.0, "base_ms": 200.0,
+                   "spacing_ms": 5.0, "sample_rate": 1000}),
+        "eval": (["eval", "--words", "work,cat", "--lexicon", lexicon,
+                  "--out", out, "--pair-std", "0", "--pair-std", "4",
+                  "--train-reps", "2", "--trials-per-word", "1",
+                  "--std-coeff", "0"],
+                 {"words": ["work", "cat"], "lexicon": lexicon,
+                  "out": str(out), "seed": 0, "pair_stds": [0.0, 4.0],
+                  "train_reps": 2, "trials_per_word": 1, "sample_rate": 1000,
+                  **PREDICT_DEFAULTS, "std_coeff": 0.0}),
+        "model-inspect": (["model-inspect", "--model", model],
+                          {"model": str(model)}),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "segment", "predict", "synth",
+                                     "eval", "model-inspect"])
+def test_run_config_lists_every_parameter(workspace, tmp_path, capsys,
+                                          command):
+    """Each command echoes every parameter once, and main() exits 0."""
+    argv, params = run_config_cases(workspace, tmp_path / "out")[command]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([str(a) for a in argv])
+    assert exit_info.value.code == 0
+    lines = [l for l in capsys.readouterr().err.splitlines()
+             if "run_config" in l]
+    assert [json.loads(l) for l in lines] == [
+        {"run_config": {"command": command, **params}}]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
+def test_help_exits_zero_without_run_config(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert "Usage:" in out
+    assert "run_config" not in out + err
 
 
 @pytest.mark.parametrize("level,code", [("bogus", 64), ("", 64),

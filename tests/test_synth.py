@@ -8,7 +8,7 @@ from keyecho.keylog import session_to_pairs
 from keyecho.model import train
 from keyecho.segmenter import energy, pick_onsets
 from keyecho.synth import (TypistProfile, profile_for_words, synth_audio,
-                           synth_session)
+                           synth_session, word_audio)
 
 
 def basic_profile(std=0.0, **kwargs):
@@ -96,6 +96,14 @@ class TestSynthAudio:
         assert np.array_equal(a.samples, b.samples)
         c = synth_audio([100.0], profile, 1000, 400.0, task=1)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_word_audio_ends_200_ms_after_the_last_click(self):
+        profile = basic_profile(burst_ms=50.0, noise_std=0.05, seed=4)
+        sig = word_audio([0.0, 300.0], profile, 1000, task=2)
+        assert len(sig.samples) == 300 + 50 + 200
+        assert np.array_equal(
+            sig.samples, synth_audio([0.0, 300.0], profile, 1000, 550.0,
+                                     task=2).samples)
 
 
 class TestRoundTrips:
