@@ -54,10 +54,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def ms_to_samples(t_ms: float, rate: int) -> int:
     """Round a millisecond duration to a whole number of samples."""

@@ -31,6 +31,7 @@ from .keylog import LETTERS, parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
 from .predictor import PredictSettings
+from .synth import TypistProfile
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -197,19 +198,21 @@ def cmd_predict(audio, model, lexicon, k, json, frame_ms, min_gap_ms,
               help="Comma-separated words to synthesize.")
 @click.option("--out", required=True, type=click.Path(),
               help="Output directory.")
-@click.option("--seed", default=0, show_default=True,
+@click.option("--seed", default=TypistProfile.seed, show_default=True,
               type=click.IntRange(min=0))
-@click.option("--pair-std", default=0.0, show_default=True,
+@click.option("--pair-std", default=TypistProfile.std_ms, show_default=True,
               type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
               callback=_finite,
               help="Interval std in ms for every key pair.")
-@click.option("--noise-std", default=0.0, show_default=True,
-              type=click.FloatRange(min=0), callback=_finite,
-              help="Gaussian background noise sigma.")
-@click.option("--base-ms", default=200.0, show_default=True, callback=_finite,
+@click.option("--noise-std", default=TypistProfile.noise_std,
+              show_default=True, type=click.FloatRange(min=0),
+              callback=_finite, help="Gaussian background noise sigma.")
+@click.option("--base-ms", default=synth.BASE_MS, show_default=True,
+              callback=_finite,
               help=f"Smallest pair mean interval, ms; each mean must exceed "
-                   f"the 100 ms click and not {synth.MAX_PAIR_MS:g} ms.")
-@click.option("--spacing-ms", default=5.0, show_default=True,
+                   f"the {TypistProfile.burst_ms:g} ms click and not "
+                   f"{synth.MAX_PAIR_MS:g} ms.")
+@click.option("--spacing-ms", default=synth.SPACING_MS, show_default=True,
               callback=_finite,
               help="Spacing between distinct pair means, ms.")
 @click.option("--sample-rate", default=8000, show_default=True,
@@ -253,12 +256,12 @@ def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
 @click.option("--lexicon", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(),
               help="Report output directory.")
-@click.option("--seed", default=0, show_default=True,
+@click.option("--seed", default=TypistProfile.seed, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--pair-std", "pair_stds", multiple=True,
               type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
               callback=_finite,
-              default=(0.0,), show_default=True,
+              default=(TypistProfile.std_ms,), show_default=True,
               help="Interval std in ms; repeat the flag to run an ASD sweep.")
 @click.option("--train-reps", default=SweepSettings.train_reps,
               show_default=True, type=click.IntRange(min=1),

@@ -95,24 +95,22 @@ class SweepSettings:
 
 
 def make_trials(profile: TypistProfile, words, sample_rate: int,
-                reps: int = 1, first_task: int = 1) -> list:
+                reps: int = 1) -> list:
     """Fresh (AudioSignal, word) pairs, one derived RNG stream per trial."""
     trials = []
-    task = first_task
-    for _ in range(reps):
-        for word in words:
-            syn = synth.synth_session(profile, [word], task=task)
-            signal = synth.word_audio(syn.word_onsets_ms[0], profile,
-                                      sample_rate, task=task)
-            trials.append((signal, word))
-            task += 1
+    # Task 0 is train_from_profile's session; trial i uses task i + 1.
+    for task, word in enumerate(list(words) * reps, start=1):
+        syn = synth.synth_session(profile, [word], task=task)
+        signal = synth.word_audio(syn.word_onsets_ms[0], profile,
+                                  sample_rate, task=task)
+        trials.append((signal, word))
     return trials
 
 
-def train_from_profile(profile: TypistProfile, words, reps: int,
-                       task: int = 0) -> TimingModel:
+def train_from_profile(profile: TypistProfile, words,
+                       reps: int) -> TimingModel:
     """Train a model from one long synthetic session of `words` x reps."""
-    syn = synth.synth_session(profile, list(words) * reps, task=task)
+    syn = synth.synth_session(profile, list(words) * reps)
     return train(session_to_pairs(syn.session))
 
 

@@ -5,7 +5,8 @@ caps,shift``; one row per keypress, timestamps in milliseconds from session
 start. Capture tools that dump TimeSpan-style records can be converted by
 writing the press/release TimeSpans as total milliseconds, the key name in
 the ``key`` column (or just the virtual code, which is mapped here), and
-caps/shift as 0/1.
+caps/shift as 0/1. write_keylog writes every time exactly: in %g form
+where that reads back to the same float, and in full otherwise.
 """
 
 import csv
@@ -48,7 +49,6 @@ class KeystrokeEvent:
 @dataclass(frozen=True)
 class TypingSession:
     events: tuple
-    session_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -128,7 +128,14 @@ def parse_keylog(path) -> TypingSession:
                 shift=_parse_bool(row[6]),
             ))
     events.sort(key=lambda e: e.press_ms)
-    return TypingSession(events=tuple(events), session_id=path.stem)
+    return TypingSession(events=tuple(events))
+
+
+def _ms_text(t_ms: float) -> str:
+    """t_ms as %g text when that reads back exactly, else in full; repr is
+    taken of a float, as a numpy scalar's repr reads np.float64(...)."""
+    text = f"{t_ms:g}"
+    return text if float(text) == t_ms else repr(float(t_ms))
 
 
 def write_keylog(path, session: TypingSession) -> None:
@@ -145,7 +152,8 @@ def write_keylog(path, session: TypingSession) -> None:
                 vcode = 0x0D
             else:
                 vcode = 0
-            writer.writerow([ev.key, f"{ev.press_ms:g}", f"{ev.release_ms:g}",
+            writer.writerow([ev.key, _ms_text(ev.press_ms),
+                             _ms_text(ev.release_ms),
                              vcode, 0, int(ev.caps), int(ev.shift)])
 
 

@@ -15,7 +15,7 @@ built only when a result's words_all is first read.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -51,13 +51,10 @@ class PredictSettings:
     lexicon: Lexicon = None
 
     def as_dict(self) -> dict:
-        return {
-            "frame_ms": self.frame_ms,
-            "min_gap_ms": self.min_gap_ms,
-            "tolerance_pct": self.tolerance_pct,
-            "std_coeff": self.std_coeff,
-            "lexicon": self.lexicon.source if self.lexicon else None,
-        }
+        """Every field by name, in order; the lexicon as its source."""
+        params = {f.name: getattr(self, f.name) for f in fields(self)}
+        params["lexicon"] = self.lexicon.source if self.lexicon else None
+        return params
 
 
 @dataclass(frozen=True)

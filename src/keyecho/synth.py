@@ -1,9 +1,10 @@
 """Synthetic typist: keystroke logs and click audio with known ground truth.
 
-A TypistProfile fixes per-pair interval statistics and the click shape.
-Everything is seeded; the same seed and task index give byte-identical
-output, so end-to-end runs are reproducible. Generated files use the same
-keylog CSV and 16-bit WAV formats as real captures.
+A TypistProfile holds per-pair interval means, one interval std shared
+by every pair, and the click shape. Everything is seeded; the same seed
+and task index give byte-identical output, so end-to-end runs are
+reproducible. Generated files use the same keylog CSV and 16-bit WAV
+formats as real captures.
 """
 
 from dataclasses import dataclass, field
@@ -20,15 +21,20 @@ _RELEASE_MS = 60.0
 _WORD_GAP_MS = 1000.0
 # Silence after the last click of a synthesized word, ms.
 _TAIL_MS = 200.0
-# Largest pair mean and pair std, ms. No typist pauses 10 s inside a word,
+# Largest pair mean and interval std, ms. No typist pauses 10 s inside a word,
 # and the bound keeps every drawn interval and recording length finite.
 MAX_PAIR_MS = 10_000.0
+# profile_for_words' default smallest pair mean and step between means, ms.
+# synth's --base-ms and --spacing-ms default to them too, so synth and eval
+# type with the same pair means.
+BASE_MS = 200.0
+SPACING_MS = 5.0
 
 
 @dataclass(frozen=True)
 class TypistProfile:
     pair_means: dict = field(repr=False)   # (key_a, key_b) -> mean interval ms
-    pair_stds: dict = field(repr=False)    # (key_a, key_b) -> std ms
+    std_ms: float = 0.0                    # interval std of every pair
     burst_ms: float = 100.0
     burst_amp: float = 0.9
     noise_std: float = 0.0
@@ -37,7 +43,7 @@ class TypistProfile:
     def __post_init__(self):
         if not 0 < self.burst_amp <= 1:
             raise ValueError(f"burst_amp must be in (0, 1], got {self.burst_amp}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # written so that NaN is rejected
             raise ValueError("noise_std must be nonnegative")
         for pair, mean in self.pair_means.items():
             if not self.burst_ms < mean <= MAX_PAIR_MS:
@@ -45,30 +51,30 @@ class TypistProfile:
                     f"pair {pair} mean {mean} ms must exceed burst "
                     f"{self.burst_ms} ms and be at most {MAX_PAIR_MS} ms"
                 )
-        if any(not 0 <= s <= MAX_PAIR_MS for s in self.pair_stds.values()):
-            raise ValueError(f"pair stds must be in [0, {MAX_PAIR_MS}] ms")
+        if not 0 <= self.std_ms <= MAX_PAIR_MS:
+            raise ValueError(f"std_ms must be in [0, {MAX_PAIR_MS}] ms, "
+                             f"got {self.std_ms}")
 
 
 @dataclass(frozen=True)
 class SessionSynthesis:
     session: TypingSession
     word_onsets_ms: tuple      # per word, onsets relative to the word start
-    truncation_rate: float     # fraction of intervals clamped at burst_ms + 1
 
 
-def profile_for_words(words, base_ms: float = 200.0, spacing_ms: float = 5.0,
-                      std_ms: float = 0.0, **kwargs) -> TypistProfile:
+def profile_for_words(words, base_ms: float = BASE_MS,
+                      spacing_ms: float = SPACING_MS,
+                      **kwargs) -> TypistProfile:
     """Profile whose pair means sit on an evenly spaced grid.
 
     Every ordered pair occurring in `words` gets a distinct mean
     base_ms + i * spacing_ms (pairs in sorted order), so interval-to-pair
     matching is unambiguous whenever the tolerance stays under half the
-    spacing.
+    spacing. Other keywords are TypistProfile fields.
     """
     pairs = sorted({(a, b) for w in words for a, b in zip(w, w[1:])})
     means = {p: base_ms + i * spacing_ms for i, p in enumerate(pairs)}
-    stds = {p: std_ms for p in pairs}
-    return TypistProfile(pair_means=means, pair_stds=stds, **kwargs)
+    return TypistProfile(pair_means=means, **kwargs)
 
 
 def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthesis:
@@ -82,8 +88,6 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
     events = []
     word_onsets = []
     cursor = 0.0
-    clamped = 0
-    intervals = 0
     for word in words:
         onsets = [0.0]
         t = cursor
@@ -91,14 +95,9 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
         for key_a, key_b in zip(word, word[1:]):
             if (key_a, key_b) not in profile.pair_means:
                 raise UnknownPair(f"pair ({key_a},{key_b}) not in profile")
-            mean = profile.pair_means[(key_a, key_b)]
-            std = profile.pair_stds.get((key_a, key_b), 0.0)
-            draw = rng.normal(mean, std)
-            intervals += 1
-            if draw < profile.burst_ms + 1:
-                draw = profile.burst_ms + 1
-                clamped += 1
-            t += draw
+            draw = rng.normal(profile.pair_means[(key_a, key_b)],
+                              profile.std_ms)
+            t += max(draw, profile.burst_ms + 1)
             onsets.append(t - cursor)
             events.append(KeystrokeEvent(key_b, t, t + _RELEASE_MS))
         word_onsets.append(tuple(onsets))
@@ -106,11 +105,8 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
         events.append(KeystrokeEvent(SPACE, t, t + _RELEASE_MS))
         cursor = t + _WORD_GAP_MS
 
-    session = TypingSession(events=tuple(events),
-                            session_id=f"synth-{profile.seed}-{task}")
-    rate = clamped / intervals if intervals else 0.0
-    return SessionSynthesis(session=session, word_onsets_ms=tuple(word_onsets),
-                            truncation_rate=rate)
+    return SessionSynthesis(session=TypingSession(events=tuple(events)),
+                            word_onsets_ms=tuple(word_onsets))
 
 
 def word_audio(onsets_ms, profile: TypistProfile, sample_rate: int,

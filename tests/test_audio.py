@@ -169,10 +169,6 @@ class TestAudioSignal:
         with pytest.raises(ValueError, match="finite"):
             AudioSignal(np.array([0.0, bad, 0.5]), 1000)
 
-    def test_duration(self):
-        sig = AudioSignal(np.zeros(500), 1000)
-        assert sig.duration_seconds == 0.5
-
     def test_grid_is_not_an_argument_nor_compared(self, tmp_path):
         sig = AudioSignal(np.array([0.5]), 1000)
         assert sig.grid_bits is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LEXICON_PATH, make_wav_bytes
-from keyecho import cli, errors, predictor
+from keyecho import cli, errors, predictor, synth
 
 CLI = [sys.executable, "-m", "keyecho.cli"]
 
@@ -403,6 +403,13 @@ class TestSynth:
             "words": ["top", "work"], "seed": 7, "pair_std": 0.0,
             "noise_std": 0.0, "base_ms": 200.0, "spacing_ms": 5.0,
             "sample_rate": 8000}
+
+    def test_pair_means_are_the_eval_typists(self, workspace):
+        # eval builds its typist with profile_for_words' defaults; synth's
+        # --base-ms/--spacing-ms defaults must give the same pair means.
+        doc = json.loads((workspace["synth"] / "ground_truth.json").read_text())
+        means = synth.profile_for_words(["top", "work"]).pair_means
+        assert doc["pair_means"] == {a + b: m for (a, b), m in means.items()}
 
     def test_ground_truth_matches_words(self, workspace):
         doc = json.loads((workspace["synth"] / "ground_truth.json").read_text())

@@ -23,7 +23,6 @@ class TestParseKeylog:
         session = parse_keylog(path)
         assert [e.key for e in session.events] == ["t", "o", "p"]
         assert [e.press_ms for e in session.events] == [0, 300, 700]
-        assert session.session_id == "log"
 
     def test_rows_sorted_by_press_time(self, tmp_path):
         path = write_log(tmp_path, [
@@ -95,12 +94,30 @@ class TestParseKeylog:
             KeystrokeEvent("t", 0, 80),
             KeystrokeEvent("o", 300.5, 390, shift=True),
             KeystrokeEvent("SPACE", 700, 760),
-        ), session_id="rt")
+        ))
         path = tmp_path / "rt.csv"
         write_keylog(path, session)
         back = parse_keylog(path)
         assert [(e.key, e.press_ms, e.shift) for e in back.events] == \
                [("t", 0, False), ("o", 300.5, True), ("SPACE", 700, False)]
+
+    def test_write_parse_roundtrip_keeps_every_digit(self, tmp_path):
+        times = [1e-7, 0.1 + 0.2, 123456.789, 1437302.884988707]
+        session = TypingSession(events=tuple(
+            KeystrokeEvent("t", t, t + 60.0) for t in times))
+        path = tmp_path / "exact.csv"
+        write_keylog(path, session)
+        back = parse_keylog(path)
+        assert [(e.press_ms, e.release_ms) for e in back.events] == \
+               [(t, t + 60.0) for t in times]
+
+    def test_times_that_g_format_keeps_are_written_in_g_form(self, tmp_path):
+        session = TypingSession(events=(KeystrokeEvent("t", 300.5, 360.5),
+                                        KeystrokeEvent("o", 1e6, 1e6 + 60)))
+        path = tmp_path / "short.csv"
+        write_keylog(path, session)
+        assert path.read_text().splitlines()[1:] == [
+            "t,300.5,360.5,84,0,0,0", "o,1e+06,1.00006e+06,79,0,0,0"]
 
 
 class TestSessionToPairs:
