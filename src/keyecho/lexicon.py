@@ -6,18 +6,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyLexicon
-from .keylog import ALPHABET, LETTERS
+from .keylog import ALPHABET
 
 
 @dataclass(frozen=True, eq=False)
 class LengthIndex:
-    """The lexicon's words of one length, with their adjacent pairs coded.
+    """The lexicon's words of one length, sorted, with their pairs coded.
 
     `pair_codes[j]` holds, for every word in `words` order, the uint16
     code of the letter pair (word[j], word[j + 1]) made by _pair_codes.
+    As the words are sorted, `pair_codes[0]` ascends, and the words whose
+    first pair has code c are `words[first[c]:first[c + 1]]`: `first`
+    has 677 entries, first[c] = searchsorted(pair_codes[0], c). The
+    order depends on the words alone, not on PYTHONHASHSEED as the
+    lexicon's frozenset iteration order does.
     """
     words: tuple
     pair_codes: np.ndarray
+    first: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,10 @@ class Lexicon:
         """The LengthIndex of the words of n >= 2 letters, cached."""
         index = self._by_length.get(n)
         if index is None:
-            words = tuple(w for w in self.words if len(w) == n)
-            index = self._by_length[n] = LengthIndex(words,
-                                                     _pair_codes(words, n))
+            words = tuple(sorted(w for w in self.words if len(w) == n))
+            pair_codes = _pair_codes(words, n)
+            first = np.searchsorted(pair_codes[0], np.arange(26 * 26 + 1))
+            index = self._by_length[n] = LengthIndex(words, pair_codes, first)
         return index
 
 
@@ -71,11 +78,11 @@ def make_lexicon(entries, source: str = "") -> Lexicon:
     dropped = 0
     for entry in entries:
         word = entry.strip().lower()
-        if LETTERS.issuperset(word):
+        # Lowercased ASCII letters are exactly a-z.
+        if word.isascii() and word.isalpha():
             words.add(word)
-        else:
+        elif word:    # a blank entry is skipped, not dropped
             dropped += 1
-    words.discard("")    # a blank entry: skipped, not dropped
     return Lexicon(words=frozenset(words), dropped=dropped, source=source)
 
 

@@ -8,10 +8,12 @@ the pairs that cannot reach the last interval and counts the complete
 words, so the search knows how many candidates there are, and gives up on
 an oversized set, without building any word.
 
-The dictionary filter works from the lexicon's side: it looks up each
-lexicon word's adjacent pairs, by pair code, in the masks, so its cost
-follows the lexicon, not the candidate count. The candidate words are
-built only when a result's words_all is first read.
+The dictionary filter works from the lexicon's side: it takes the
+lexicon words whose first pair is set in the first mask as ranges of the
+sorted length index, then looks up each survivor's later pairs, by pair
+code, in the later masks. Its cost follows the words that survive the
+first interval, not the whole lexicon or the candidate count. The
+candidate words are built only when a result's words_all is first read.
 """
 
 import json
@@ -147,13 +149,22 @@ def filter_dictionary(lattice: CandidateLattice, lexicon: Lexicon) -> list:
     but no candidate word is built or hashed: a word survives if its i-th
     adjacent pair is set in mask i for every i, each pair looked up by its
     pair code. Model keys and lexicon words are both letters a-z, so every
-    word pair has its place in the masks.
+    word pair has its place in the masks. The first mask's set codes
+    pick ranges of the sorted length index (LengthIndex.first), and each
+    later mask is looked up for the survivors only, so the cost follows
+    the words that survive the first interval, not the lexicon. The
+    survivors keep the index's order, which is sorted.
     """
     index = lexicon.of_length(len(lattice.masks) + 1)
-    keep = np.ones(len(index.words), dtype=bool)
-    for mask, pair_codes in zip(lattice.masks, index.pair_codes):
-        keep &= mask.ravel()[pair_codes]
-    return sorted(index.words[i] for i in np.flatnonzero(keep).tolist())
+    codes = np.flatnonzero(lattice.masks[0])
+    starts = index.first[codes]
+    sizes = index.first[codes + 1] - starts
+    # Every position in every range starts[i]:starts[i] + sizes[i], in order.
+    sel = np.repeat(starts - sizes.cumsum() + sizes, sizes)
+    sel += np.arange(len(sel))
+    for mask, pair_codes in zip(lattice.masks[1:], index.pair_codes[1:]):
+        sel = sel[mask.ravel()[pair_codes[sel]]]
+    return [index.words[i] for i in sel.tolist()]
 
 
 def predict(model: TimingModel, signal: AudioSignal, k: int,

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyecho.errors import EmptyLexicon
+from keyecho.keylog import LETTERS
 from keyecho.lexicon import load_lexicon, make_lexicon
 
 
@@ -51,6 +52,37 @@ class TestMakeLexicon:
         lex = make_lexicon({"t1p", "Top", "tép"})
         assert lex.words == {"top"}
         assert lex.dropped == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(" \taZ1\u212a\u00df\u0130\u00e9",
+                            max_size=4), max_size=10))
+    def test_keeps_exactly_the_entries_of_letters_a_to_z(self, entries):
+        normal = [e.strip().lower() for e in entries]
+        words = {w for w in normal if w and LETTERS.issuperset(w)}
+        lex = make_lexicon(entries)
+        assert lex.words == words
+        assert lex.dropped == sum(1 for w in normal if w and w not in words)
+
+    def test_kelvin_sign_lowercases_to_ascii_and_is_kept(self):
+        # U+212A KELVIN SIGN lowercases to ASCII "k".
+        lex = make_lexicon(["\u212aey"])
+        assert lex.words == {"key"}
+        assert lex.dropped == 0
+
+    def test_sharp_s_digits_and_inner_spaces_are_dropped(self):
+        lex = make_lexicon(["straße", "ab1", "two words", " top "])
+        assert lex.words == {"top"}
+        assert lex.dropped == 3
+
+    def test_blank_entries_are_skipped_not_counted(self):
+        lex = make_lexicon(["", "  ", "\t", "top", ""])
+        assert lex.words == {"top"}
+        assert lex.dropped == 0
+
+    def test_each_duplicate_bad_entry_is_counted(self):
+        lex = make_lexicon(["ab1", "ab1", "AB1 ", "top", "TOP"])
+        assert lex.words == {"top"}
+        assert lex.dropped == 3
 
 
 class TestContains:

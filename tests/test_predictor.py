@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho import synth
 from keyecho.errors import CandidateExplosion, NoCandidates
-from keyecho.keylog import LETTERS
+from keyecho.keylog import ALPHABET, LETTERS
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
 from keyecho.predictor import (MAX_WORDS, PredictSettings, build_tree,
@@ -40,9 +40,9 @@ def naive_words(model, deltas, pct, std_coeff, alphabet):
 
 
 @st.composite
-def lattice_inputs(draw):
-    """Model pairs over a few MODEL_KEYS, and k - 1 intervals for them."""
-    keys = draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=2,
+def lattice_inputs(draw, model_keys=MODEL_KEYS):
+    """Model pairs over a few model_keys, and k - 1 intervals for them."""
+    keys = draw(st.lists(st.sampled_from(model_keys), min_size=2,
                          max_size=6, unique=True), label="keys")
     means = draw(st.lists(st.sampled_from([200.0, 300.0, 400.0]),
                           min_size=len(keys) ** 2, max_size=len(keys) ** 2),
@@ -213,6 +213,11 @@ def reference_filter(lattice, lex):
 # Words "bop" and "top".
 TOP_PAIRS = [("t", "o", 300), ("b", "o", 300), ("o", "p", 400)]
 
+# Every word of 2 to 5 letters over MODEL_KEYS (7,776 of five letters), so
+# many words share each first pair and the survivors cross range edges.
+DENSE_LEXICON = make_lexicon("".join(w) for n in range(2, 6)
+                             for w in itertools.product(MODEL_KEYS, repeat=n))
+
 
 class TestFilterDictionary:
     def test_membership(self):
@@ -259,6 +264,27 @@ class TestFilterDictionary:
         assert filter_dictionary(lattice, lex) == reference_filter(lattice,
                                                                    lex)
 
+    @settings(max_examples=200, deadline=None)
+    # Model keys d and q are in no word of the lexicon.
+    @given(lattice_inputs(MODEL_KEYS + ["d", "q"]))
+    # The first mask holds codes no word has (d-b, q-b) beside one it has.
+    @example(([("d", "b", 300), ("q", "b", 300), ("a", "b", 300),
+               ("b", "c", 400)], [300, 400]))
+    # Six keystrokes: no word of the lexicon has that length.
+    @example(([("a", "b", 200), ("b", "a", 200)], [200] * 5))
+    # Every pair at one mean: all 7,776 five-letter words survive.
+    @example(([(a, b, 200) for a in MODEL_KEYS for b in MODEL_KEYS],
+              [200] * 4))
+    # Two keystrokes: one interval, so the ranges alone decide.
+    @example(([("a", "b", 200), ("x", "a", 200), ("d", "q", 200)], [200]))
+    def test_dense_lexicon_equals_reference(self, inputs):
+        try:
+            lattice = lattice_of(*inputs)
+        except NoCandidates:
+            return
+        assert filter_dictionary(lattice, DENSE_LEXICON) == \
+               reference_filter(lattice, DENSE_LEXICON)
+
 
 class TestLexiconIndex:
     def test_cache_leaves_equality_hash_and_repr(self):
@@ -274,6 +300,24 @@ class TestLexiconIndex:
         assert lex.of_length(3) is lex.of_length(3)
         assert lex.of_length(3).words == ("top",)
         assert lex.of_length(5).words == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("abcxyz", min_size=2, max_size=4), max_size=30),
+           st.integers(2, 4))
+    def test_words_sorted_and_first_bounds_each_first_pair(self, entries, n):
+        index = make_lexicon(entries).of_length(n)
+        assert list(index.words) == sorted(index.words)
+        assert index.first.shape == (26 * 26 + 1,)
+        for c in range(26 * 26):
+            pair = ALPHABET[c // 26] + ALPHABET[c % 26]
+            assert index.words[index.first[c]:index.first[c + 1]] == \
+                   tuple(w for w in index.words if w[:2] == pair)
+
+    def test_empty_length_has_zero_bounds_and_empty_rows(self):
+        index = make_lexicon({"top", "work"}).of_length(5)
+        assert index.words == ()
+        assert not index.first.any()
+        assert index.pair_codes.shape == (4, 0)
 
     def test_every_letter_pair_round_trips(self):
         # Word a+b+a holds the pair (a, b) at j = 0 and (b, a) at j = 1.
