@@ -3,22 +3,23 @@
 The model keeps the raw interval observations alongside a per-ordered-pair
 summary (mean, sample std, count) and the average standard deviation (ASD)
 over pairs seen at least twice. ASD is the consistency proxy: careful,
-even typists have a small ASD and are easier to attack.
+even typists have a small ASD and are easier to attack. train builds all
+of it in one pass, a mean table by pair code too; load_model calls train.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConsistencyFailure, NonFiniteDelta, NonLetterKey,
                      NonPositiveDelta, SchemaMismatch)
-from .keylog import ALPHABET, LETTERS
+from .keylog import ALPHABET
 
 MODEL_VERSION = 1
+_CODE = {key: code for code, key in enumerate(ALPHABET)}
 
 
 @dataclass(frozen=True)
@@ -35,55 +36,53 @@ class TimingModel:
     observations: tuple                  # raw (key_a, key_b, delta_ms) rows
     stats: dict = field(repr=False)      # (key_a, key_b) -> PairStats
     asd_ms: float = 0.0
+    # mean_ms by pair code (see keylog.ALPHABET), NaN if never seen
+    pair_means: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def pair_count(self) -> int:
         return len(self.stats)
 
-    @cached_property
-    def pair_means(self) -> np.ndarray:
-        """mean_ms by pair code (see keylog.ALPHABET), NaN if never seen."""
-        means = np.full(26 * 26, np.nan)
-        for (a, b), s in self.stats.items():
-            means[26 * ALPHABET.index(a) + ALPHABET.index(b)] = s.mean_ms
-        return means
-
 
 def train(pairs) -> TimingModel:
-    """Group interval observations by ordered key pair and summarize.
+    """Group interval observations by pair code and summarize, in one pass.
 
     Means and stds use math.fsum, so the result is exactly invariant under
     permutation of the input. Std is the n-1 sample form, 0 for singletons.
-    Every interval must be positive and finite, and every key one of
-    LETTERS (NonLetterKey), so a model's pairs are letter pairs.
+    Every key must be a letter of keylog.ALPHABET (NonLetterKey) and every
+    interval positive and finite; the first bad row decides the error.
     """
     observations = []
     groups = {}
     for key_a, key_b, delta_ms in pairs:
+        try:
+            code = 26 * _CODE[key_a] + _CODE[key_b]
+        except KeyError:
+            raise NonLetterKey(f"pair ({key_a!r}, {key_b!r}) has a key "
+                               f"that is not a letter a-z") from None
         delta_ms = float(delta_ms)
         if not 0 < delta_ms < math.inf:
             error = NonPositiveDelta if delta_ms <= 0 else NonFiniteDelta
             raise error(f"pair ({key_a},{key_b}) has interval {delta_ms} ms")
         observations.append((key_a, key_b, delta_ms))
-        groups.setdefault((key_a, key_b), []).append(delta_ms)
-    for key_a, key_b in groups:   # at most 26 * 26 groups once all pass
-        if key_a not in LETTERS or key_b not in LETTERS:
-            raise NonLetterKey(f"pair ({key_a!r}, {key_b!r}) has a key "
-                               f"that is not a letter a-z")
+        groups.setdefault(code, []).append(delta_ms)
 
     stats = {}
-    for (key_a, key_b), deltas in sorted(groups.items()):
+    pair_means = np.full(26 * 26, np.nan)
+    for code, deltas in sorted(groups.items()):   # codes in (a, b) order
         n = len(deltas)
         mean = math.fsum(deltas) / n
         if n > 1:
             std = math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / (n - 1))
         else:
             std = 0.0
+        key_a, key_b = ALPHABET[code // 26], ALPHABET[code % 26]
         stats[(key_a, key_b)] = PairStats(key_a, key_b, mean, std, n)
+        pair_means[code] = mean
 
     repeated = [s.std_ms for s in stats.values() if s.count >= 2]
     asd = math.fsum(repeated) / len(repeated) if repeated else 0.0
-    return TimingModel(observations=tuple(observations), stats=stats, asd_ms=asd)
+    return TimingModel(tuple(observations), stats, asd, pair_means)
 
 
 def tolerance(model: TimingModel, delta_ms: float, pct: float,
@@ -161,8 +160,6 @@ def load_model(path) -> TimingModel:
                           (doc["analysis"], "std_ms"), ([doc], "asd_ms")):
             _json_numbers(rows, key)
         _json_numbers(doc["analysis"], "count", (int,))
-        observations = [(row["a"], row["b"], float(row["delta_ms"]))
-                        for row in doc["observations"]]
         stored = {(row["a"], row["b"]): PairStats(
                       row["a"], row["b"], float(row["mean_ms"]),
                       float(row["std_ms"]), row["count"])
@@ -171,10 +168,13 @@ def load_model(path) -> TimingModel:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
     try:
-        rebuilt = train(observations)
-    except (TypeError, NonLetterKey) as exc:  # unhashable, or not a letter
-        raise SchemaMismatch(
+        rebuilt = train((row["a"], row["b"], row["delta_ms"])
+                        for row in doc["observations"])
+    except (KeyError, TypeError, NonLetterKey) as exc:  # missing, unhashable
+        raise SchemaMismatch(                           # or not a letter
             f"{path}: malformed observation key: {exc}") from None
+    except OverflowError as exc:   # an integer delta_ms past float range
+        raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
     if stored != rebuilt.stats:
         raise ConsistencyFailure(
             f"{path}: analysis table disagrees with recomputation from observations"

@@ -53,9 +53,9 @@ class PredictSettings:
     lexicon: Lexicon = None
 
     def as_dict(self) -> dict:
-        """Every field by name, in order; the lexicon as its source."""
+        """Every field by name, in order; the lexicon, even empty, as source."""
         params = {f.name: getattr(self, f.name) for f in fields(self)}
-        params["lexicon"] = self.lexicon.source if self.lexicon else None
+        params["lexicon"] = getattr(self.lexicon, "source", None)
         return params
 
 

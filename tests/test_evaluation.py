@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from keyecho import evaluation, predictor, synth
+from keyecho import predictor, synth
 from keyecho.evaluation import (SweepSettings, asd_sweep, make_trials,
                                 run_eval, train_from_profile, write_report,
                                 write_sweep, _pearson)

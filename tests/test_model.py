@@ -1,14 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyecho.errors import (ConsistencyFailure, NonFiniteDelta,
                             NonLetterKey, NonPositiveDelta, SchemaMismatch)
-from keyecho.model import (TimingModel, candidates, load_model, save_model,
-                           tolerance, train)
+from keyecho.keylog import ALPHABET
+from keyecho.model import (PairStats, TimingModel, candidates, load_model,
+                           save_model, tolerance, train)
 
 pair_lists = st.lists(
     st.tuples(st.sampled_from("abct"), st.sampled_from("opxz"),
@@ -16,6 +18,33 @@ pair_lists = st.lists(
                         allow_nan=False, allow_infinity=False)),
     max_size=40,
 )
+# Pairs over the whole alphabet, so every pair code can occur.
+alphabet_pair_lists = st.lists(
+    st.tuples(st.sampled_from(ALPHABET), st.sampled_from(ALPHABET),
+              st.floats(min_value=1.0, max_value=2000.0)),
+    max_size=80,
+)
+
+
+def train_by_key_pair(pairs):
+    """train's summary built another way: grouped by sorted (a, b) tuples,
+    with pair_means filled from stats through ALPHABET.index."""
+    groups = {}
+    for key_a, key_b, delta_ms in pairs:
+        groups.setdefault((key_a, key_b), []).append(float(delta_ms))
+    stats = {}
+    for (key_a, key_b), deltas in sorted(groups.items()):
+        n = len(deltas)
+        mean = math.fsum(deltas) / n
+        std = (math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / (n - 1))
+               if n > 1 else 0.0)
+        stats[(key_a, key_b)] = PairStats(key_a, key_b, mean, std, n)
+    means = np.full(26 * 26, np.nan)
+    for (key_a, key_b), s in stats.items():
+        means[26 * ALPHABET.index(key_a) + ALPHABET.index(key_b)] = s.mean_ms
+    repeated = [s.std_ms for s in stats.values() if s.count >= 2]
+    asd = math.fsum(repeated) / len(repeated) if repeated else 0.0
+    return stats, asd, means
 
 
 class TestTrain:
@@ -57,6 +86,27 @@ class TestTrain:
         for pair in [(key, "b", 100), ("a", key, 100)]:
             with pytest.raises(NonLetterKey):
                 train([("a", "b", 100), pair])
+
+    def test_first_bad_row_decides_the_error(self):
+        with pytest.raises(NonLetterKey):
+            train([("A", "b", 100), ("a", "b", -5)])
+        with pytest.raises(NonPositiveDelta):
+            train([("a", "b", -5), ("A", "b", 100)])
+
+    @given(st.one_of(pair_lists, alphabet_pair_lists))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_grouping_by_key_pair(self, pairs):
+        stats, asd, means = train_by_key_pair(pairs)
+        model = train(pairs)
+        assert model.observations == tuple((a, b, float(d))
+                                           for a, b, d in pairs)
+        assert list(model.stats.items()) == list(stats.items())
+        assert model.asd_ms == asd
+        assert model.pair_means.tobytes() == means.tobytes()
+        seen = {26 * ALPHABET.index(a) + ALPHABET.index(b)
+                for a, b, _ in pairs}
+        assert set(np.flatnonzero(np.isnan(model.pair_means))) == \
+               set(range(26 * 26)) - seen
 
     @given(pair_lists, st.randoms())
     @settings(max_examples=50, deadline=None)
@@ -235,6 +285,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("field,literal,error", [
         ("delta_ms", "1e999", NonFiniteDelta),
+        ("delta_ms", "1" + "0" * 400, SchemaMismatch),
         ("mean_ms", "1e999", ConsistencyFailure),
         ("mean_ms", "1" + "0" * 400, SchemaMismatch)])
     def test_overflowing_number_is_rejected(self, tmp_path, field, literal,
@@ -260,7 +311,9 @@ class TestPersistence:
     @pytest.mark.parametrize("rows", [
         [{"a": "a", "b": [], "delta_ms": 1}],           # unhashable
         [{"a": "a", "b": "b", "delta_ms": 1},
-         {"a": 1, "b": "b", "delta_ms": 1}]])           # unorderable
+         {"a": 1, "b": "b", "delta_ms": 1}],            # not a string
+        [{"b": "b", "delta_ms": 1}],                    # no "a"
+        [{"a": "a", "delta_ms": 1}]])                   # no "b"
     def test_observation_key_train_cannot_group(self, tmp_path, rows):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"version": 1, "observations": rows,

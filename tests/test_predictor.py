@@ -422,6 +422,14 @@ class TestPredict:
         assert result.words_dict == result.words_all == \
                ("bob", "bop", "tob", "top")
 
+    def test_empty_lexicon_is_recorded_by_its_source(self, setup):
+        model, signal, _ = setup
+        empty = make_lexicon([], source="empty.txt")
+        result = predict(model, signal, 3, PredictSettings(lexicon=empty))
+        assert result.words_dict == ()
+        assert result.params["lexicon"] == "empty.txt"
+        assert PredictSettings().as_dict()["lexicon"] is None
+
     def test_k_too_small(self, setup):
         model, signal, lex = setup
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from keyecho.errors import OnsetOutOfRange, UnknownPair
 from keyecho.keylog import session_to_pairs
 from keyecho.model import train
 from keyecho.segmenter import energy, pick_onsets
-from keyecho.synth import (MAX_PAIR_MS, TypistProfile, profile_for_words,
-                           synth_audio, synth_session, word_audio)
+from keyecho.synth import (MAX_PAIR_MS, TypistProfile, synth_audio,
+                           synth_session, word_audio)
 
 
 def basic_profile(std=0.0, **kwargs):
