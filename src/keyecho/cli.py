@@ -27,7 +27,7 @@ from . import evaluation, predictor, segmenter, synth
 from .audio import AudioSignal, load_wav, write_wav
 from .errors import KeyEchoError, PipelineFailure
 from .evaluation import SweepSettings
-from .keylog import LETTERS, parse_keylog, session_to_pairs, write_keylog
+from .keylog import is_word, parse_keylog, session_to_pairs, write_keylog
 from .lexicon import load_lexicon
 from .model import load_model, save_model, train
 from .predictor import PredictSettings
@@ -103,7 +103,7 @@ def _word_list(ctx, param, words: str) -> list:
         raise click.UsageError("--words produced an empty list")
     for word in word_list:
         # A lexicon keeps only words of letters; one letter has no interval.
-        if len(word) < 2 or not LETTERS.issuperset(word):
+        if len(word) < 2 or not is_word(word):
             raise click.UsageError(
                 f"--words: {word!r} is not 2 or more letters a-z")
     return word_list

@@ -1,4 +1,4 @@
-"""Keystroke log ingestion.
+"""Keystroke log ingestion, and every fact about how keys are coded.
 
 Logs are CSV with header ``key,press_ms,release_ms,virtual_code,scan_code,
 caps,shift``; one row per keypress, timestamps in milliseconds from session
@@ -15,22 +15,49 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MalformedRow
 
 SPACE = "SPACE"
 ENTER = "ENTER"
 OTHER = "OTHER"
 
-# The keys, the only letters of model pairs and lexicon words. A key's code
-# is its place here; the pair (a, b) has pair code 26 * code(a) + code(b).
+# The keys in code order: a key's code is its place here, and the pair
+# (a, b) has pair code 26 * CODE[a] + CODE[b], so PAIRS[code] == (a, b).
 ALPHABET = string.ascii_lowercase
-LETTERS = frozenset(ALPHABET)
+CODE = {key: code for code, key in enumerate(ALPHABET)}
+PAIR_CODE = {(a, b): 26 * CODE[a] + CODE[b] for a in ALPHABET for b in ALPHABET}
+PAIRS = tuple(PAIR_CODE)
+
+# Key code by ASCII byte, 0 for no key; uint16, as pair codes run to 675.
+_BYTE_CODE = np.zeros(128, dtype=np.uint16)
+_BYTE_CODE[[ord(key) for key in CODE]] = list(CODE.values())
+
+# Windows virtual-key codes; any other key is written as 0 and read as OTHER.
+_VIRTUAL_CODE = {**{key: ord(key.upper()) for key in ALPHABET},
+                SPACE: 0x20, ENTER: 0x0D}
+_VIRTUAL_KEY = {code: key for key, code in _VIRTUAL_CODE.items()}
 
 HEADER = ["key", "press_ms", "release_ms", "virtual_code", "scan_code",
           "caps", "shift"]
 
-_SPACE_NAMES = {"space", " "}
-_ENTER_NAMES = {"enter", "return", "\n", "\r"}
+# Key-column names of the keys that are not letters, stripped and lowercased.
+_KEY_NAMES = {"space": SPACE, "enter": ENTER, "return": ENTER}
+
+
+def is_word(text: str) -> bool:
+    """True exactly when text is one or more of the letters a-z."""
+    # ASCII letters are all cased, so islower() means every one is a-z.
+    return text.isascii() and text.isalpha() and text.islower()
+
+
+def pair_codes(words, n: int) -> np.ndarray:
+    """The uint16 pair codes of words of n letters a-z: row j holds the
+    code of (w[j], w[j + 1]) for each word w, in order."""
+    codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    codes = _BYTE_CODE[codes].reshape(-1, n)
+    return np.ascontiguousarray((codes[:, :-1] * 26 + codes[:, 1:]).T)
 
 
 @dataclass(frozen=True)
@@ -43,7 +70,7 @@ class KeystrokeEvent:
 
     @property
     def is_letter(self) -> bool:
-        return self.key in LETTERS
+        return self.key in CODE
 
 
 @dataclass(frozen=True)
@@ -56,21 +83,9 @@ class TypingSession:
 
 def _canonical_key(key_field: str, virtual_code: int) -> str:
     key = key_field.strip().lower()
-    if key in LETTERS:
-        return key
-    if key in _SPACE_NAMES:
-        return SPACE
-    if key in _ENTER_NAMES:
-        return ENTER
-    if key == "":
-        # Fall back to the Windows virtual-key code.
-        if ord("A") <= virtual_code <= ord("Z"):
-            return chr(virtual_code).lower()
-        if virtual_code == 0x20:
-            return SPACE
-        if virtual_code == 0x0D:
-            return ENTER
-    return OTHER
+    if not key:
+        return _VIRTUAL_KEY.get(virtual_code, OTHER)
+    return key if key in CODE else _KEY_NAMES.get(key, OTHER)
 
 
 def _parse_bool(text: str) -> bool:
@@ -144,17 +159,10 @@ def write_keylog(path, session: TypingSession) -> None:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
         for ev in session.events:
-            if ev.is_letter:
-                vcode = ord(ev.key.upper())
-            elif ev.key == SPACE:
-                vcode = 0x20
-            elif ev.key == ENTER:
-                vcode = 0x0D
-            else:
-                vcode = 0
             writer.writerow([ev.key, _ms_text(ev.press_ms),
                              _ms_text(ev.release_ms),
-                             vcode, 0, int(ev.caps), int(ev.shift)])
+                             _VIRTUAL_CODE.get(ev.key, 0), 0, int(ev.caps),
+                             int(ev.shift)])
 
 
 def session_to_pairs(session: TypingSession) -> list:

@@ -6,20 +6,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyLexicon
-from .keylog import ALPHABET
+from .keylog import is_word as _is_word, pair_codes
 
 
 @dataclass(frozen=True, eq=False)
 class LengthIndex:
     """The lexicon's words of one length, sorted, with their pairs coded.
 
-    `pair_codes[j]` holds, for every word in `words` order, the uint16
-    code of the letter pair (word[j], word[j + 1]) made by _pair_codes.
-    As the words are sorted, `pair_codes[0]` ascends, and the words whose
-    first pair has code c are `words[first[c]:first[c + 1]]`: `first`
-    has 677 entries, first[c] = searchsorted(pair_codes[0], c). The
-    order depends on the words alone, not on PYTHONHASHSEED as the
-    lexicon's frozenset iteration order does.
+    `pair_codes` is keylog.pair_codes(words, n): row j codes each word's
+    pair (word[j], word[j + 1]). As the words are sorted, `pair_codes[0]`
+    ascends, and the words whose first pair has code c are
+    `words[first[c]:first[c + 1]]`, with 677 bounds first[c] =
+    searchsorted(pair_codes[0], c). The order depends on the words alone,
+    not on PYTHONHASHSEED as the lexicon's frozenset iteration order does.
     """
     words: tuple
     pair_codes: np.ndarray
@@ -50,23 +49,10 @@ class Lexicon:
         index = self._by_length.get(n)
         if index is None:
             words = tuple(sorted(w for w in self.words if len(w) == n))
-            pair_codes = _pair_codes(words, n)
-            first = np.searchsorted(pair_codes[0], np.arange(26 * 26 + 1))
-            index = self._by_length[n] = LengthIndex(words, pair_codes, first)
+            codes = pair_codes(words, n)
+            first = np.searchsorted(codes[0], np.arange(26 * 26 + 1))
+            index = self._by_length[n] = LengthIndex(words, codes, first)
         return index
-
-
-# Each ASCII letter's key code; uint16, as the pair codes run to 675.
-_KEY_CODE = np.zeros(128, dtype=np.uint16)
-_KEY_CODE[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = range(26)
-
-
-def _pair_codes(words, n: int) -> np.ndarray:
-    """Row j: the pair code (see keylog.ALPHABET) of (w[j], w[j + 1]) for
-    each word w of n letters."""
-    codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    codes = _KEY_CODE[codes].reshape(-1, n)
-    return np.ascontiguousarray((codes[:, :-1] * 26 + codes[:, 1:]).T)
 
 
 def make_lexicon(entries, source: str = "") -> Lexicon:
@@ -78,8 +64,7 @@ def make_lexicon(entries, source: str = "") -> Lexicon:
     dropped = 0
     for entry in entries:
         word = entry.strip().lower()
-        # Lowercased ASCII letters are exactly a-z.
-        if word.isascii() and word.isalpha():
+        if _is_word(word):  # private: perfbench traces public names per call
             words.add(word)
         elif word:    # a blank entry is skipped, not dropped
             dropped += 1

@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, NonFiniteDelta, NonLetterKey,
                      NonPositiveDelta, SchemaMismatch)
-from .keylog import ALPHABET
+from .keylog import PAIR_CODE, PAIRS
 
 MODEL_VERSION = 1
-_CODE = {key: code for code, key in enumerate(ALPHABET)}
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class TimingModel:
     observations: tuple                  # raw (key_a, key_b, delta_ms) rows
     stats: dict = field(repr=False)      # (key_a, key_b) -> PairStats
     asd_ms: float = 0.0
-    # mean_ms by pair code (see keylog.ALPHABET), NaN if never seen
+    # mean_ms by pair code (see keylog.PAIR_CODE), NaN if never seen
     pair_means: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
@@ -49,14 +48,14 @@ def train(pairs) -> TimingModel:
 
     Means and stds use math.fsum, so the result is exactly invariant under
     permutation of the input. Std is the n-1 sample form, 0 for singletons.
-    Every key must be a letter of keylog.ALPHABET (NonLetterKey) and every
-    interval positive and finite; the first bad row decides the error.
+    Every key must be a letter a-z (NonLetterKey) and every interval
+    positive and finite; the first bad row decides the error.
     """
     observations = []
     groups = {}
     for key_a, key_b, delta_ms in pairs:
         try:
-            code = 26 * _CODE[key_a] + _CODE[key_b]
+            code = PAIR_CODE[key_a, key_b]
         except KeyError:
             raise NonLetterKey(f"pair ({key_a!r}, {key_b!r}) has a key "
                                f"that is not a letter a-z") from None
@@ -72,12 +71,9 @@ def train(pairs) -> TimingModel:
     for code, deltas in sorted(groups.items()):   # codes in (a, b) order
         n = len(deltas)
         mean = math.fsum(deltas) / n
-        if n > 1:
-            std = math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / (n - 1))
-        else:
-            std = 0.0
-        key_a, key_b = ALPHABET[code // 26], ALPHABET[code % 26]
-        stats[(key_a, key_b)] = PairStats(key_a, key_b, mean, std, n)
+        squares = math.fsum((d - mean) ** 2 for d in deltas)
+        std = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
+        stats[PAIRS[code]] = PairStats(*PAIRS[code], mean, std, n)
         pair_means[code] = mean
 
     repeated = [s.std_ms for s in stats.values() if s.count >= 2]
@@ -144,7 +140,7 @@ def load_model(path) -> TimingModel:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text, parse_constant=_non_finite)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise SchemaMismatch(f"{path}: not valid JSON: {exc}") from None
     del text    # 7 MB for 10^5 observations; not needed past parsing
     if not isinstance(doc, dict):

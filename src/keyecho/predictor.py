@@ -52,6 +52,16 @@ class PredictSettings:
     std_coeff: float = 1.0
     lexicon: Lexicon = None
 
+    def __post_init__(self):
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not 0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms must be finite and positive, "
+                             f"got {self.frame_ms}")
+        for name in ("min_gap_ms", "tolerance_pct", "std_coeff"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
+
     def as_dict(self) -> dict:
         """Every field by name, in order; the lexicon, even empty, as source."""
         params = {f.name: getattr(self, f.name) for f in fields(self)}

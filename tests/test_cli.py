@@ -380,6 +380,15 @@ def test_model_with_non_finite_number_exit_two(workspace, tmp_path, literal):
     assert "Traceback" not in res.stderr
 
 
+def test_model_nested_too_deep_exit_two(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text("[" * 200_000 + "]" * 200_000)
+    res = run_cli("model-inspect", "--model", model)
+    assert res.returncode == 2
+    assert "not valid JSON" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 class TestSynth:
     def test_deterministic_outputs(self, tmp_path):
         for d in ("a", "b"):

@@ -1,8 +1,17 @@
+import csv
+import string
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from keyecho.errors import MalformedRow
-from keyecho.keylog import (HEADER, KeystrokeEvent, TypingSession,
+from keyecho.keylog import (ALPHABET, ENTER, HEADER, OTHER, PAIR_CODE, PAIRS,
+                            SPACE, KeystrokeEvent, TypingSession, is_word,
                             parse_keylog, session_to_pairs, write_keylog)
+from keyecho.lexicon import make_lexicon
+from keyecho.model import train
 
 HEAD = ",".join(HEADER)
 
@@ -154,3 +163,58 @@ class TestSessionToPairs:
             KeystrokeEvent("o", 0, 90),
         ))
         assert session_to_pairs(session) == []
+
+
+class TestKeyCodes:
+    @pytest.mark.parametrize("a", list(ALPHABET))
+    def test_every_pair_has_one_code_everywhere(self, a):
+        for b in ALPHABET:
+            code = PAIR_CODE[a, b]
+            assert code == 26 * string.ascii_lowercase.index(a) + \
+                   string.ascii_lowercase.index(b)
+            assert PAIRS[code] == (a, b)
+            seen = np.flatnonzero(~np.isnan(train([(a, b, 100.0)]).pair_means))
+            assert seen.tolist() == [code]
+            index = make_lexicon([a + b]).of_length(2)
+            assert index.pair_codes[0][0] == code
+
+    def test_pair_tables_are_inverse(self):
+        assert len(PAIRS) == len(PAIR_CODE) == 26 * 26
+        assert [PAIR_CODE[pair] for pair in PAIRS] == list(range(26 * 26))
+
+    def test_virtual_codes_round_trip_with_the_key_column_blank(self,
+                                                                 tmp_path):
+        keys = list(ALPHABET) + [SPACE, ENTER, OTHER]
+        session = TypingSession(events=tuple(
+            KeystrokeEvent(key, 100.0 * i, 100.0 * i + 50)
+            for i, key in enumerate(keys)))
+        path = tmp_path / "log.csv"
+        write_keylog(path, session)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        codes = [int(row[3]) for row in rows[1:]]
+        assert codes == [ord(key.upper()) for key in ALPHABET] + [32, 13, 0]
+        for row in rows[1:]:
+            row[0] = ""
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert [e.key for e in parse_keylog(path).events] == keys
+
+
+def reference_is_word(text):
+    """Independent of keylog: non-empty, and every character in a-z."""
+    return text != "" and all(c in "abcdefghijklmnopqrstuvwxyz" for c in text)
+
+
+class TestIsWord:
+    @given(st.one_of(st.text("azAZ09 \u212a\u00df\u0130\u00e9\u0131",
+                             max_size=6),
+                     st.text(max_size=6)))
+    @example("")
+    @example("\u212a")      # KELVIN SIGN, which lowercases to "k"
+    @example("stra\u00dfe")  # sharp s, which uppercases to "SS"
+    @example("Top")
+    @example("ab1")
+    @example("top")
+    def test_matches_reference(self, text):
+        assert is_word(text) == reference_is_word(text)

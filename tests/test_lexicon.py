@@ -1,9 +1,10 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyecho.errors import EmptyLexicon
-from keyecho.keylog import LETTERS
 from keyecho.lexicon import load_lexicon, make_lexicon
 
 
@@ -58,7 +59,8 @@ class TestMakeLexicon:
                             max_size=4), max_size=10))
     def test_keeps_exactly_the_entries_of_letters_a_to_z(self, entries):
         normal = [e.strip().lower() for e in entries]
-        words = {w for w in normal if w and LETTERS.issuperset(w)}
+        letters = set(string.ascii_lowercase)
+        words = {w for w in normal if w and letters.issuperset(w)}
         lex = make_lexicon(entries)
         assert lex.words == words
         assert lex.dropped == sum(1 for w in normal if w and w not in words)

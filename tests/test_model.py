@@ -308,6 +308,13 @@ class TestPersistence:
         with pytest.raises(SchemaMismatch):
             load_model(path)
 
+    def test_nesting_too_deep_for_json(self, tmp_path):
+        # json gives up on this with RecursionError, not a ValueError.
+        path = tmp_path / "model.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(SchemaMismatch, match="not valid JSON"):
+            load_model(path)
+
     @pytest.mark.parametrize("rows", [
         [{"a": "a", "b": [], "delta_ms": 1}],           # unhashable
         [{"a": "a", "b": "b", "delta_ms": 1},

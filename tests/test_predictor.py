@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from keyecho import synth
 from keyecho.errors import CandidateExplosion, NoCandidates
-from keyecho.keylog import ALPHABET, LETTERS
+from keyecho.keylog import ALPHABET
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
 from keyecho.predictor import (MAX_WORDS, PredictSettings, build_tree,
@@ -101,7 +102,7 @@ class TestBuildTree:
     def test_packed_model_explodes_before_building(self, k):
         # 26**k words (308,915,776 at k=6): the cap is met by a saturating
         # count, not by building words.
-        model = train([(a, b, 300.0) for a in LETTERS for b in LETTERS])
+        model = train([(a, b, 300.0) for a in ALPHABET for b in ALPHABET])
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -321,7 +322,7 @@ class TestLexiconIndex:
 
     def test_every_letter_pair_round_trips(self):
         # Word a+b+a holds the pair (a, b) at j = 0 and (b, a) at j = 1.
-        letters = sorted(LETTERS)
+        letters = ALPHABET
         index = make_lexicon({a + b + a for a in letters
                               for b in letters}).of_length(3)
         assert len(index.words) == 26 * 26
@@ -434,3 +435,33 @@ class TestPredict:
         model, signal, lex = setup
         with pytest.raises(ValueError):
             predict(model, signal, 1, PredictSettings(lexicon=lex))
+
+
+class TestPredictSettings:
+    """Every tuning field is checked where the settings are made, so a
+    bad value is a ValueError, not a failure deep in the pipeline."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0])
+    def test_frame_ms_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="frame_ms"):
+            PredictSettings(frame_ms=value)
+        assert PredictSettings(frame_ms=1e-3).frame_ms == 1e-3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_min_gap_ms_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="min_gap_ms"):
+            PredictSettings(min_gap_ms=value)
+        assert PredictSettings(min_gap_ms=0.0).min_gap_ms == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_pct_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="tolerance_pct"):
+            PredictSettings(tolerance_pct=value)
+        assert PredictSettings(tolerance_pct=0.0).tolerance_pct == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_std_coeff_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="std_coeff"):
+            PredictSettings(std_coeff=value)
+        assert PredictSettings(std_coeff=0.0).std_coeff == 0.0
