@@ -55,6 +55,12 @@ class AudioSignal:
         return len(self.samples)
 
 
+# The longest a WAV can play: 2^32 samples at 1 Hz. A frame or gap this
+# long exceeds every recording, and is still a finite number of samples
+# at any rate a WAV header can declare (below 2^32 Hz).
+MAX_MS = 1000.0 * 2**32
+
+
 def ms_to_samples(t_ms: float, rate: int) -> int:
     """Round a millisecond duration to a whole number of samples."""
     if t_ms < 0:

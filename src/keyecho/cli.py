@@ -5,7 +5,9 @@ Exit codes are stable API: 0 success, 3 empty result, 4 pipeline failure
 unwritable output, any other KeyEchoError), 64 usage error (including nan
 or inf options). A command returns its non-zero code (predict's 3), or
 nothing for 0; main() alone maps an error's class to 4 or 2, and main()
-alone calls sys.exit.
+alone calls sys.exit. Every read goes through _load, which names the file
+it cannot read; any other OSError comes from an output, and main() alone
+maps it to 2, so no write site needs a guard of its own.
 Each command echoes its parsed parameters, under their parameter names,
 as a JSON run_config line on stderr before it runs.
 Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity; a name
@@ -18,13 +20,12 @@ import logging
 import math
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import evaluation, predictor, segmenter, synth
-from .audio import AudioSignal, load_wav, write_wav
+from .audio import MAX_MS, AudioSignal, load_wav, write_wav
 from .errors import KeyEchoError, PipelineFailure
 from .evaluation import SweepSettings
 from .keylog import is_word, parse_keylog, session_to_pairs, write_keylog
@@ -41,11 +42,6 @@ EXIT_USAGE = 64
 
 log = logging.getLogger("keyecho")
 
-# The longest a WAV can play: 2^32 samples at 1 Hz. A frame or gap this
-# long exceeds every recording, and is still a finite number of samples
-# at any rate a WAV header can declare (below 2^32 Hz).
-MAX_MS = 1000.0 * 2**32
-
 
 class _Command(click.Command):
     """A command that echoes its parsed parameters before it runs."""
@@ -60,37 +56,35 @@ class _Group(click.Group):
     command_class = _Command
 
 
-def _finite(ctx, param, value):
-    """Reject nan and inf, which pass click's range checks."""
-    for v in value if param.multiple else (value,):
-        if not math.isfinite(v):
-            raise click.BadParameter(f"{v} is not a finite number")
-    return value
+class _FiniteRange(click.FloatRange):
+    """A float range that also rejects nan and inf, which pass its bounds."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number", param, ctx)
+        return value
 
 
 def _segment_options(fn):
     """Add --frame-ms and --min-gap-ms; click lists the last added first."""
     fn = click.option("--min-gap-ms", default=PredictSettings.min_gap_ms,
-                      show_default=True, callback=_finite,
-                      type=click.FloatRange(min=0, max=MAX_MS),
+                      show_default=True, type=_FiniteRange(min=0, max=MAX_MS),
                       help="Extra zeroed margin around each detected peak, ms.")(fn)
     return click.option("--frame-ms", default=PredictSettings.frame_ms,
-                        show_default=True, callback=_finite,
-                        type=click.FloatRange(min=0, max=MAX_MS,
-                                              min_open=True),
+                        show_default=True,
+                        type=_FiniteRange(min=0, max=MAX_MS, min_open=True),
                         help="Sliding-window frame length in ms.")(fn)
 
 
 def _tolerance_options(fn):
     """Add the segment options, then --tolerance-pct and --std-coeff."""
     fn = click.option("--std-coeff", default=PredictSettings.std_coeff,
-                      show_default=True, callback=_finite,
-                      type=click.FloatRange(min=0),
+                      show_default=True, type=_FiniteRange(min=0),
                       help="Weight of the model ASD in the matching range.")(fn)
     fn = click.option("--tolerance-pct",
                       default=PredictSettings.tolerance_pct,
-                      show_default=True, callback=_finite,
-                      type=click.FloatRange(min=0),
+                      show_default=True, type=_FiniteRange(min=0),
                       help="Interval-matching range as a fraction of the interval.")(fn)
     return _segment_options(fn)
 
@@ -129,8 +123,7 @@ def cmd_train(keylogs, out):
     for path in keylogs:
         pairs.extend(session_to_pairs(_load(parse_keylog, path)))
     model = train(pairs)
-    with _writing(out):
-        save_model(model, out)
+    save_model(model, out)
     click.echo(f"pairs: {model.pair_count}  observations: "
                f"{len(model.observations)}  asd_ms: {model.asd_ms:.4f}")
 
@@ -148,7 +141,7 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
     """Locate keystroke onsets in a WAV file and write them as CSV."""
     signal = _load(load_wav, audio)
     onsets = segmenter.find_onsets(signal, k, frame_ms, min_gap_ms)
-    with _writing(out), open(out, "w", newline="") as fh:
+    with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "onset_sample", "onset_ms", "delta_ms"])
         prev_ms = None
@@ -158,12 +151,11 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
             prev_ms = ms
     if segments_dir is not None:
         seg_dir = Path(segments_dir)
-        with _writing(seg_dir):
-            seg_dir.mkdir(parents=True, exist_ok=True)
-            for i, (lo, hi) in enumerate(
-                    segmenter.extract_segments(signal, onsets)):
-                chunk = AudioSignal(signal.samples[lo:hi], signal.sample_rate)
-                write_wav(seg_dir / f"segment_{i:03d}.wav", chunk)
+        seg_dir.mkdir(parents=True, exist_ok=True)
+        for i, (lo, hi) in enumerate(
+                segmenter.extract_segments(signal, onsets)):
+            chunk = AudioSignal(signal.samples[lo:hi], signal.sample_rate)
+            write_wav(seg_dir / f"segment_{i:03d}.wav", chunk)
     click.echo(f"wrote {len(onsets)} onsets to {out}")
 
 
@@ -201,19 +193,16 @@ def cmd_predict(audio, model, lexicon, k, json, frame_ms, min_gap_ms,
 @click.option("--seed", default=TypistProfile.seed, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--pair-std", default=TypistProfile.std_ms, show_default=True,
-              type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
-              callback=_finite,
+              type=_FiniteRange(min=0, max=synth.MAX_PAIR_MS),
               help="Interval std in ms for every key pair.")
 @click.option("--noise-std", default=TypistProfile.noise_std,
-              show_default=True, type=click.FloatRange(min=0),
-              callback=_finite, help="Gaussian background noise sigma.")
+              show_default=True, type=_FiniteRange(min=0),
+              help="Gaussian background noise sigma.")
 @click.option("--base-ms", default=synth.BASE_MS, show_default=True,
-              callback=_finite,
               help=f"Smallest pair mean interval, ms; each mean must exceed "
                    f"the {TypistProfile.burst_ms:g} ms click and not "
                    f"{synth.MAX_PAIR_MS:g} ms.")
 @click.option("--spacing-ms", default=synth.SPACING_MS, show_default=True,
-              callback=_finite,
               help="Spacing between distinct pair means, ms.")
 @click.option("--sample-rate", default=8000, show_default=True,
               type=click.IntRange(min=1))
@@ -229,8 +218,7 @@ def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
     except ValueError as exc:   # a pair mean out of (click, MAX_PAIR_MS]
         raise click.UsageError(f"--base-ms/--spacing-ms: {exc}")
     out_dir = Path(out)
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     syn = synth.synth_session(profile, words)
     write_keylog(out_dir / "keylog.csv", syn.session)
     # Recorded config omits the output path so identical seeds give
@@ -259,8 +247,7 @@ def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
 @click.option("--seed", default=TypistProfile.seed, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--pair-std", "pair_stds", multiple=True,
-              type=click.FloatRange(min=0, max=synth.MAX_PAIR_MS),
-              callback=_finite,
+              type=_FiniteRange(min=0, max=synth.MAX_PAIR_MS),
               default=(TypistProfile.std_ms,), show_default=True,
               help="Interval std in ms; repeat the flag to run an ASD sweep.")
 @click.option("--train-reps", default=SweepSettings.train_reps,
@@ -288,15 +275,13 @@ def cmd_eval(words, lexicon, out, seed, pair_stds, train_reps,
     ]
     if len(profiles) == 1:
         report = evaluation.evaluate_profile(profiles[0], lex, settings)
-        with _writing(out):
-            evaluation.write_report(report, out)
+        evaluation.write_report(report, out)
         click.echo(f"success_rate: {report.success_rate:.4f}  "
                    f"ambiguity: {report.ambiguity:.2f}  "
                    f"asd_ms: {report.asd_ms:.4f}")
     else:
         result = evaluation.asd_sweep(profiles, lex, settings)
-        with _writing(out):
-            evaluation.write_sweep(result, out)
+        evaluation.write_sweep(result, out)
         for asd, rate in result.points:
             click.echo(f"asd_ms: {asd:.4f}  success_rate: {rate:.4f}")
         click.echo(f"pearson_r: {result.pearson_r:.4f}")
@@ -324,16 +309,6 @@ def _load(loader, path):
         raise click.ClickException(f"cannot read {path}: {reason}")
 
 
-@contextmanager
-def _writing(path):
-    """Guard writes to an output path; one that cannot be written exits 2."""
-    try:
-        yield
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise click.ClickException(f"cannot write {path}: {reason}")
-
-
 def main(argv=None):
     """Run the CLI and exit with the documented exit-code contract."""
     try:
@@ -349,6 +324,11 @@ def main(argv=None):
     except KeyEchoError as exc:
         click.echo(f"Error: {exc}", err=True)
         code = EXIT_PIPELINE if isinstance(exc, PipelineFailure) else EXIT_IO
+    except OSError as exc:   # _load turns every failed read into its own error
+        target = "" if exc.filename is None else f" {exc.filename}"
+        click.echo(f"Error: cannot write{target}: {exc.strerror or exc}",
+                   err=True)
+        code = EXIT_IO
     sys.exit(code)
 
 

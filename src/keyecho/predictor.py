@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import segmenter
-from .audio import AudioSignal
+from .audio import MAX_MS, AudioSignal
 from .errors import CandidateExplosion, NoCandidates
 from .keylog import ALPHABET
 from .lexicon import Lexicon
@@ -54,10 +54,14 @@ class PredictSettings:
 
     def __post_init__(self):
         # Written so that NaN, which fails every comparison, is rejected.
-        if not 0 < self.frame_ms < np.inf:
-            raise ValueError(f"frame_ms must be finite and positive, "
+        # Up to MAX_MS, a duration is a finite number of samples at any rate.
+        if not 0 < self.frame_ms <= MAX_MS:
+            raise ValueError(f"frame_ms must be in (0, {MAX_MS:.0f}] ms, "
                              f"got {self.frame_ms}")
-        for name in ("min_gap_ms", "tolerance_pct", "std_coeff"):
+        if not 0 <= self.min_gap_ms <= MAX_MS:
+            raise ValueError(f"min_gap_ms must be in [0, {MAX_MS:.0f}] ms, "
+                             f"got {self.min_gap_ms}")
+        for name in ("tolerance_pct", "std_coeff"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"got {getattr(self, name)}")

@@ -21,8 +21,9 @@ _RELEASE_MS = 60.0
 _WORD_GAP_MS = 1000.0
 # Silence after the last click of a synthesized word, ms.
 _TAIL_MS = 200.0
-# Largest pair mean and interval std, ms. No typist pauses 10 s inside a word,
-# and the bound keeps every drawn interval and recording length finite.
+# Largest pair mean, interval std and click length, ms. No typist pauses
+# 10 s inside a word, and the bound keeps every drawn interval and recording
+# length finite.
 MAX_PAIR_MS = 10_000.0
 # profile_for_words' default smallest pair mean and step between means, ms.
 # synth's --base-ms and --spacing-ms default to them too, so synth and eval
@@ -43,8 +44,13 @@ class TypistProfile:
     def __post_init__(self):
         if not 0 < self.burst_amp <= 1:
             raise ValueError(f"burst_amp must be in (0, 1], got {self.burst_amp}")
-        if not self.noise_std >= 0:  # written so that NaN is rejected
-            raise ValueError("noise_std must be nonnegative")
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and nonnegative, "
+                             f"got {self.noise_std}")
+        if not 0 <= self.burst_ms <= MAX_PAIR_MS:
+            raise ValueError(f"burst_ms must be in [0, {MAX_PAIR_MS}] ms, "
+                             f"got {self.burst_ms}")
         for pair, mean in self.pair_means.items():
             if not self.burst_ms < mean <= MAX_PAIR_MS:
                 raise ValueError(

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -338,6 +339,55 @@ def test_segments_dir_that_is_a_file_exit_two(workspace, tmp_path):
                   "--segments-dir", taken)
     assert res.returncode == 2
     assert f"cannot write {taken}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name", ["keylog.csv", "ground_truth.json",
+                                  "word_000_top.wav"])
+def test_synth_file_that_is_a_directory_exit_two(tmp_path, name):
+    taken = tmp_path / "out" / name
+    taken.mkdir(parents=True)
+    res = run_cli("synth", "--words", "top", "--out", tmp_path / "out")
+    assert res.returncode == 2
+    assert f"Error: cannot write {taken}: " in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_write_error_naming_no_file_exit_two(workspace, tmp_path,
+                                             monkeypatch, capsys):
+    # A full disk fails inside write(), where the OS names no file.
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "save_model", disk_full)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", str(workspace["synth"] / "keylog.csv"),
+                  "--out", str(tmp_path / "m.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"Error: cannot write: {os.strerror(errno.ENOSPC)}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "segment", "eval",
+                                     "model-inspect"])
+def test_directory_as_any_input_exit_two(tmp_path, command):
+    # Every read goes through cli._load, which names the file it cannot
+    # read; main() takes any other OSError for an output.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args = {
+        "train": ["train", folder, "--out", tmp_path / "m.json"],
+        "segment": ["segment", folder, "--k", "4",
+                    "--out", tmp_path / "x.csv"],
+        "eval": ["eval", "--words", "work", "--lexicon", folder,
+                 "--out", tmp_path / "report"],
+        "model-inspect": ["model-inspect", "--model", folder],
+    }[command]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert f"cannot read {folder}: " in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho import synth
-from keyecho.errors import CandidateExplosion, NoCandidates
+from keyecho.audio import MAX_MS, AudioSignal
+from keyecho.errors import CandidateExplosion, FrameTooLong, NoCandidates
 from keyecho.keylog import ALPHABET
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
@@ -465,3 +466,16 @@ class TestPredictSettings:
         with pytest.raises(ValueError, match="std_coeff"):
             PredictSettings(std_coeff=value)
         assert PredictSettings(std_coeff=0.0).std_coeff == 0.0
+
+    @pytest.mark.parametrize("name", ["frame_ms", "min_gap_ms"])
+    def test_durations_at_most_max_ms(self, name):
+        # 1e308 ms overflows to inf samples; MAX_MS is whole at any rate.
+        with pytest.raises(ValueError, match=name):
+            PredictSettings(**{name: 1e308})
+        assert getattr(PredictSettings(**{name: MAX_MS}), name) == MAX_MS
+
+    def test_longest_frame_is_too_long_not_an_overflow(self):
+        model = train([("a", "b", 200.0)])
+        signal = AudioSignal(np.zeros(1000), 1000)
+        with pytest.raises(FrameTooLong):
+            predict(model, signal, 3, PredictSettings(frame_ms=MAX_MS))

@@ -67,9 +67,13 @@ class TestSynthSession:
         for std in (-1.0, MAX_PAIR_MS + 1, float("nan")):
             with pytest.raises(ValueError, match="std_ms"):
                 basic_profile(std=std)
-        for noise in (-0.1, float("nan")):
+        for noise in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_std"):
                 basic_profile(noise_std=noise)
+        # With no pair means, no mean check bounds the click either.
+        for burst in (-50.0, float("nan"), float("inf"), MAX_PAIR_MS + 1):
+            with pytest.raises(ValueError, match="burst_ms"):
+                TypistProfile(pair_means={}, burst_ms=burst)
 
 
 class TestSynthAudio:
