@@ -65,6 +65,12 @@ class _FiniteRange(click.FloatRange):
             self.fail(f"{value} is not a finite number", param, ctx)
         return value
 
+    def _describe_range(self):
+        """Help text; click would print an unbounded range as "x<=None"."""
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
+
 
 def _segment_options(fn):
     """Add --frame-ms and --min-gap-ms; click lists the last added first."""
@@ -199,10 +205,12 @@ def cmd_predict(audio, model, lexicon, k, json, frame_ms, min_gap_ms,
               show_default=True, type=_FiniteRange(min=0),
               help="Gaussian background noise sigma.")
 @click.option("--base-ms", default=synth.BASE_MS, show_default=True,
+              type=_FiniteRange(),
               help=f"Smallest pair mean interval, ms; each mean must exceed "
                    f"the {TypistProfile.burst_ms:g} ms click and not "
                    f"{synth.MAX_PAIR_MS:g} ms.")
 @click.option("--spacing-ms", default=synth.SPACING_MS, show_default=True,
+              type=_FiniteRange(),
               help="Spacing between distinct pair means, ms.")
 @click.option("--sample-rate", default=8000, show_default=True,
               type=click.IntRange(min=1))

@@ -3,7 +3,8 @@
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import predictor, synth
@@ -14,24 +15,30 @@ from .model import TimingModel, train
 from .predictor import PredictSettings
 from .synth import TypistProfile
 
+# The pipeline failures a trial counts as a miss, by report.json's kind name.
+_MISS_KINDS = {NoCandidates: "no_candidates",
+               NotEnoughPeaks: "not_enough_peaks",
+               CandidateExplosion: "explosion"}
 
+
+# The two records declare report.json: its keys are their fields, in order.
 @dataclass(frozen=True)
 class TrialRecord:
     true_word: str
+    hit: bool
     words_all_count: int
     words_dict: tuple
-    hit: bool
-    failure: str = ""  # "", "no_candidates", "not_enough_peaks", "explosion"
+    failure: str = ""        # "" for a trial that ran, else a _MISS_KINDS name
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    per_trial: tuple
+    per_trial: tuple         # written last, as "trials"
     success_rate: float
     by_length: dict          # word length -> success fraction
     asd_ms: float
     ambiguity: float         # mean |words_dict| over all trials
-    failures: dict           # failure kind -> count
+    failures: dict           # failure kind -> count, in first-seen order
     params: dict = field(default_factory=dict)
 
 
@@ -39,18 +46,10 @@ def _run_trial(model: TimingModel, signal, true_word: str,
                settings: PredictSettings) -> TrialRecord:
     try:
         result = predictor.predict(model, signal, len(true_word), settings)
-    except NoCandidates:
-        return TrialRecord(true_word, 0, (), False, failure="no_candidates")
-    except NotEnoughPeaks:
-        return TrialRecord(true_word, 0, (), False, failure="not_enough_peaks")
-    except CandidateExplosion:
-        return TrialRecord(true_word, 0, (), False, failure="explosion")
-    return TrialRecord(
-        true_word=true_word,
-        words_all_count=result.lattice.word_count,
-        words_dict=result.words_dict,
-        hit=true_word in result.words_dict,
-    )
+    except tuple(_MISS_KINDS) as exc:
+        return TrialRecord(true_word, False, 0, (), _MISS_KINDS[type(exc)])
+    return TrialRecord(true_word, true_word in result.words_dict,
+                       result.lattice.word_count, result.words_dict)
 
 
 def run_eval(model: TimingModel, lexicon: Lexicon, trials,
@@ -65,21 +64,18 @@ def run_eval(model: TimingModel, lexicon: Lexicon, trials,
     records = [_run_trial(model, signal, word, settings)
                for signal, word in trials]
     n = len(records)
-    length_totals = {}
-    failures = {}
+    hits_by_length = {}
     for r in records:
-        got, seen = length_totals.get(len(r.true_word), (0, 0))
-        length_totals[len(r.true_word)] = (got + r.hit, seen + 1)
-        if r.failure:
-            failures[r.failure] = failures.get(r.failure, 0) + 1
-    by_length = {k: got / seen for k, (got, seen) in sorted(length_totals.items())}
+        hits_by_length.setdefault(len(r.true_word), []).append(r.hit)
     return EvalReport(
         per_trial=tuple(records),
         success_rate=sum(r.hit for r in records) / n if n else 0.0,
-        by_length=by_length,
+        by_length={k: sum(hits) / len(hits)
+                   for k, hits in sorted(hits_by_length.items())},
         asd_ms=model.asd_ms,
         ambiguity=(sum(len(r.words_dict) for r in records) / n) if n else 0.0,
-        failures=failures,
+        # A plain dict: asdict would rebuild a Counter from its items.
+        failures=dict(Counter(r.failure for r in records if r.failure)),
         params=settings.as_dict(),
     )
 
@@ -160,20 +156,10 @@ def asd_sweep(profiles, lexicon: Lexicon,
 # --- report emission ---
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "success_rate": report.success_rate,
-        "by_length": {str(k): v for k, v in report.by_length.items()},
-        "asd_ms": report.asd_ms,
-        "ambiguity": report.ambiguity,
-        "failures": report.failures,
-        "params": report.params,
-        "trials": [
-            {"true_word": r.true_word, "hit": r.hit,
-             "words_all_count": r.words_all_count,
-             "words_dict": list(r.words_dict), "failure": r.failure}
-            for r in report.per_trial
-        ],
-    }
+    """EvalReport's fields in order, with per_trial moved last as "trials"."""
+    doc = asdict(report)
+    doc["trials"] = doc.pop("per_trial")
+    return doc
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -232,16 +232,16 @@ BAD_OPTIONS = [
     ("segment", "--frame-ms", "0"),
     ("segment", "--frame-ms", "-1"),
     ("segment", "--min-gap-ms", "-5"),
-    ("segment", "--tolerance-pct", "-1"),
-    ("segment", "--std-coeff", "-0.5"),
     ("predict", "--frame-ms", "0"),
     ("predict", "--min-gap-ms", "-5"),
     ("predict", "--tolerance-pct", "-1"),
     ("predict", "--std-coeff", "-1"),
-    ("eval", "--jobs", "0"),
-    ("eval", "--jobs", "-2"),
+    ("predict", "--tolerance-pct", "nan"),
     ("eval", "--frame-ms", "0"),
+    ("eval", "--min-gap-ms", "-5"),
     ("eval", "--tolerance-pct", "-1"),
+    ("eval", "--std-coeff", "-1"),
+    ("eval", "--std-coeff", "inf"),
     ("eval", "--sample-rate", "0"),
     ("eval", "--trials-per-word", "0"),
     ("eval", "--train-reps", "0"),
@@ -262,6 +262,7 @@ BAD_OPTIONS = [
     ("synth", "--base-ms", "1e308"),
     ("synth", "--spacing-ms", "-100"),
     ("synth", "--spacing-ms", "1e308"),
+    ("synth", "--spacing-ms", "inf"),
     ("synth", "--seed", "-1"),
     ("synth", "--words", "x"),
     ("synth", "--words", "can't"),
@@ -272,6 +273,10 @@ BAD_OPTIONS = [
                            ("--frame-ms", "1e308"),
                            ("--min-gap-ms", "nan"), ("--min-gap-ms", "inf"),
                            ("--min-gap-ms", "1e308")]]
+
+
+def reject_constant(name):
+    raise ValueError(f"run_config holds {name}, which is not JSON")
 
 
 def base_args(workspace, tmp_path, command):
@@ -292,7 +297,11 @@ def test_out_of_range_option_is_usage_error(workspace, tmp_path, command,
     res = run_cli(*base_args(workspace, tmp_path, command), option, value)
     assert res.returncode == 64
     assert option in res.stderr
+    assert "No such option" not in res.stderr   # the row tests a real option
     assert "Traceback" not in res.stderr
+    for line in res.stderr.splitlines():
+        if line.startswith('{"run_config"'):     # strict JSON: no NaN
+            json.loads(line, parse_constant=reject_constant)
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "report").exists()
 

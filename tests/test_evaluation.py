@@ -2,9 +2,11 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from keyecho import predictor, synth
+from keyecho.audio import AudioSignal
 from keyecho.evaluation import (SweepSettings, asd_sweep, make_trials,
                                 run_eval, train_from_profile, write_report,
                                 write_sweep, _pearson)
@@ -68,11 +70,11 @@ class TestRunEval:
         weighted = sum(report.by_length[k] * c for k, c in counts.items())
         assert weighted / len(trials) == pytest.approx(report.success_rate)
 
-    def test_parallel_matches_sequential(self, clean_setup):
+    def test_jobs_is_accepted_and_ignored(self, clean_setup):
         model, trials, lexicon = clean_setup
-        seq = run_eval(model, lexicon, trials, PredictSettings(), jobs=1)
-        par = run_eval(model, lexicon, trials, PredictSettings(), jobs=2)
-        assert seq == par
+        one = run_eval(model, lexicon, trials, PredictSettings(), jobs=1)
+        two = run_eval(model, lexicon, trials, PredictSettings(), jobs=2)
+        assert one == two
 
     def test_failures_tallied_not_raised(self, clean_setup):
         _, trials, lexicon = clean_setup
@@ -107,6 +109,50 @@ class TestRunEval:
         lines = (tmp_path / "by_length.csv").read_text().splitlines()
         assert lines[0] == "length,success"
         assert len(lines) == 1 + len(report.by_length)
+
+
+class TestReportSchema:
+    """report.json's key order is the record types' field order."""
+
+    @staticmethod
+    def misses(clean_profile):
+        """A missed trial of 'top' per kind: onsets 3 s apart match no model
+        pair, and silence has no keystrokes."""
+        unmatched = synth.word_audio([0.0, 3000.0, 6000.0], clean_profile,
+                                     1000)
+        return {"no_candidates": (unmatched, "top"),
+                "not_enough_peaks": (AudioSignal(np.zeros(3000), 1000), "top")}
+
+    def test_key_order(self, clean_setup, clean_profile, tmp_path):
+        model, trials, lexicon = clean_setup
+        miss = self.misses(clean_profile)
+        trials = trials[:1] + [miss["no_candidates"], miss["not_enough_peaks"],
+                               miss["no_candidates"]]
+        report = run_eval(model, lexicon, trials, PredictSettings())
+        write_report(report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc) == ["success_rate", "by_length", "asd_ms",
+                             "ambiguity", "failures", "params", "trials"]
+        for trial in doc["trials"]:
+            assert list(trial) == ["true_word", "hit", "words_all_count",
+                                   "words_dict", "failure"]
+        assert [t["failure"] for t in doc["trials"]] == [
+            "", "no_candidates", "not_enough_peaks", "no_candidates"]
+        assert doc["trials"][0]["hit"] is True
+        assert doc["trials"][1] == {"true_word": "top", "hit": False,
+                                    "words_all_count": 0, "words_dict": [],
+                                    "failure": "no_candidates"}
+        assert list(doc["failures"].items()) == [("no_candidates", 2),
+                                                 ("not_enough_peaks", 1)]
+
+    def test_failures_in_first_seen_order(self, clean_setup, clean_profile):
+        model, _, lexicon = clean_setup
+        miss = self.misses(clean_profile)
+        trials = [miss["not_enough_peaks"], miss["no_candidates"],
+                  miss["not_enough_peaks"]]
+        report = run_eval(model, lexicon, trials, PredictSettings())
+        assert list(report.failures.items()) == [("not_enough_peaks", 2),
+                                                 ("no_candidates", 1)]
 
 
 class TestPearson:
