@@ -130,7 +130,7 @@ def cmd_train(keylogs, out):
         pairs.extend(session_to_pairs(_load(parse_keylog, path)))
     model = train(pairs)
     save_model(model, out)
-    click.echo(f"pairs: {model.pair_count}  observations: "
+    click.echo(f"pairs: {len(model.stats)}  observations: "
                f"{len(model.observations)}  asd_ms: {model.asd_ms:.4f}")
 
 
@@ -150,11 +150,10 @@ def cmd_segment(audio, k, out, segments_dir, frame_ms, min_gap_ms):
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "onset_sample", "onset_ms", "delta_ms"])
-        prev_ms = None
+        deltas = segmenter.intervals(onsets).deltas
         for i, (b, ms) in enumerate(zip(onsets.onsets, onsets.onsets_ms)):
-            delta = "" if prev_ms is None else f"{ms - prev_ms:.6f}"
+            delta = f"{deltas[i - 1]:.6f}" if i else ""
             writer.writerow([i, b, f"{ms:.6f}", delta])
-            prev_ms = ms
     if segments_dir is not None:
         seg_dir = Path(segments_dir)
         seg_dir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +227,7 @@ def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     syn = synth.synth_session(profile, words)
-    write_keylog(out_dir / "keylog.csv", syn.session)
+    write_keylog(out_dir / "keylog.csv", syn.events)
     # Recorded config omits the output path so identical seeds give
     # byte-identical artifacts regardless of destination.
     truth = {"run_config": {k: v for k, v in ctx.params.items() if k != "out"},
@@ -305,7 +304,7 @@ def cmd_model_inspect(model):
         click.echo(f"{a + b:>6}  {s.mean_ms:>10.3f}  {s.std_ms:>10.3f}  "
                    f"{s.count:>6}")
     click.echo(f"asd_ms: {timing_model.asd_ms:.4f}  "
-               f"pairs: {timing_model.pair_count}")
+               f"pairs: {len(timing_model.stats)}")
 
 
 def _load(loader, path):

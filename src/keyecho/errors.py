@@ -40,10 +40,6 @@ class NotEnoughPeaks(PipelineFailure):
     """Fewer distinguishable energy peaks than requested keystrokes."""
 
 
-class TooFewOnsets(PipelineFailure):
-    """Interval computation needs at least two onsets."""
-
-
 # --- keylog ---
 
 class MalformedRow(KeyEchoError):

@@ -2,7 +2,7 @@
 
 import csv
 import json
-import math
+import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -107,7 +107,7 @@ def train_from_profile(profile: TypistProfile, words,
                        reps: int) -> TimingModel:
     """Train a model from one long synthetic session of `words` x reps."""
     syn = synth.synth_session(profile, list(words) * reps)
-    return train(session_to_pairs(syn.session))
+    return train(session_to_pairs(syn.events))
 
 
 def evaluate_profile(profile: TypistProfile, lexicon: Lexicon,
@@ -126,19 +126,13 @@ class SweepResult:
 
 
 def _pearson(xs, ys) -> float:
-    n = len(xs)
-    if n < 2:
+    """Pearson's r; nan when the xs are all equal, which includes fewer than
+    two, and 0.0 when the ys are all equal."""
+    if len(set(xs)) < 2:
         return float("nan")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx == 0.0:
-        return float("nan")
-    if vy == 0.0:
+    if len(set(ys)) < 2:
         return 0.0
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return cov / math.sqrt(vx * vy)
+    return statistics.correlation(xs, ys)
 
 
 def asd_sweep(profiles, lexicon: Lexicon,

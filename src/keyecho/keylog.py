@@ -3,9 +3,10 @@
 Logs are CSV with header ``key,press_ms,release_ms,virtual_code,scan_code,
 caps,shift``; one row per keypress, timestamps in milliseconds from session
 start. Capture tools that dump TimeSpan-style records can be converted by
-writing the press/release TimeSpans as total milliseconds, the key name in
-the ``key`` column (or just the virtual code, which is mapped here), and
-caps/shift as 0/1. write_keylog writes every time exactly: in %g form
+writing the press/release TimeSpans as total milliseconds, and the key name
+in the ``key`` column (or just the virtual code, which is mapped here). A
+log is a tuple of KeystrokeEvents. The caps and shift columns are not
+read; write_keylog writes them as 0, and every time exactly: in %g form
 where that reads back to the same float, and in full otherwise.
 """
 
@@ -65,20 +66,6 @@ class KeystrokeEvent:
     key: str          # 'a'..'z', SPACE, ENTER, or OTHER
     press_ms: float
     release_ms: float
-    shift: bool = False
-    caps: bool = False
-
-    @property
-    def is_letter(self) -> bool:
-        return self.key in CODE
-
-
-@dataclass(frozen=True)
-class TypingSession:
-    events: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
 
 
 def _canonical_key(key_field: str, virtual_code: int) -> str:
@@ -86,10 +73,6 @@ def _canonical_key(key_field: str, virtual_code: int) -> str:
     if not key:
         return _VIRTUAL_KEY.get(virtual_code, OTHER)
     return key if key in CODE else _KEY_NAMES.get(key, OTHER)
-
-
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in {"1", "true", "yes"}
 
 
 def _rows(reader, path):
@@ -100,8 +83,9 @@ def _rows(reader, path):
         raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def parse_keylog(path) -> TypingSession:
-    """Read a keystroke CSV; rows come back sorted by press time."""
+def parse_keylog(path) -> tuple:
+    """Read a keystroke CSV as a tuple of KeystrokeEvents sorted by press
+    time; the caps and shift columns are not read."""
     path = Path(path)
     events = []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -139,11 +123,9 @@ def parse_keylog(path) -> TypingSession:
                 key=_canonical_key(row[0], virtual_code),
                 press_ms=press_ms,
                 release_ms=release_ms,
-                caps=_parse_bool(row[5]),
-                shift=_parse_bool(row[6]),
             ))
     events.sort(key=lambda e: e.press_ms)
-    return TypingSession(events=tuple(events))
+    return tuple(events)
 
 
 def _ms_text(t_ms: float) -> str:
@@ -153,19 +135,18 @@ def _ms_text(t_ms: float) -> str:
     return text if float(text) == t_ms else repr(float(t_ms))
 
 
-def write_keylog(path, session: TypingSession) -> None:
-    """Emit the CSV format parse_keylog reads."""
+def write_keylog(path, events) -> None:
+    """Emit the CSV format parse_keylog reads, caps and shift as 0."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        for ev in session.events:
+        for ev in events:
             writer.writerow([ev.key, _ms_text(ev.press_ms),
                              _ms_text(ev.release_ms),
-                             _VIRTUAL_CODE.get(ev.key, 0), 0, int(ev.caps),
-                             int(ev.shift)])
+                             _VIRTUAL_CODE.get(ev.key, 0), 0, 0, 0])
 
 
-def session_to_pairs(session: TypingSession) -> list:
+def session_to_pairs(events) -> list:
     """Adjacent-letter intervals (key_a, key_b, delta_ms).
 
     A non-letter event (space, enter, anything else) resets adjacency, so
@@ -173,8 +154,8 @@ def session_to_pairs(session: TypingSession) -> list:
     """
     pairs = []
     prev = None
-    for ev in session.events:
-        if not ev.is_letter:
+    for ev in events:
+        if ev.key not in CODE:
             prev = None
             continue
         if prev is not None:

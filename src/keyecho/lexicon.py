@@ -33,16 +33,12 @@ class Lexicon:
     and nothing is built at load.
     """
     words: frozenset = field(repr=False)
-    dropped: int = 0
     source: str = ""
     _by_length: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.words
 
     def of_length(self, n: int) -> LengthIndex:
         """The LengthIndex of the words of n >= 2 letters, cached."""
@@ -56,19 +52,11 @@ class Lexicon:
 
 
 def make_lexicon(entries, source: str = "") -> Lexicon:
-    """The entries, stripped and lowercased, that are words of letters a-z.
-
-    Blank entries are skipped; every other entry is dropped and counted.
-    """
-    words = set()
-    dropped = 0
-    for entry in entries:
-        word = entry.strip().lower()
-        if _is_word(word):  # private: perfbench traces public names per call
-            words.add(word)
-        elif word:    # a blank entry is skipped, not dropped
-            dropped += 1
-    return Lexicon(words=frozenset(words), dropped=dropped, source=source)
+    """The entries, stripped and lowercased, that are words of letters a-z;
+    every other entry is dropped."""
+    words = (entry.strip().lower() for entry in entries)
+    # _is_word is private: perfbench traces public names per call.
+    return Lexicon(words=frozenset(filter(_is_word, words)), source=source)
 
 
 def load_lexicon(path) -> Lexicon:

@@ -38,10 +38,6 @@ class TimingModel:
     # mean_ms by pair code (see keylog.PAIR_CODE), NaN if never seen
     pair_means: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.stats)
-
 
 def train(pairs) -> TimingModel:
     """Group interval observations by pair code and summarize, in one pass.

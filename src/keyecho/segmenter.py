@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioSignal, ms_to_samples
-from .errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
-                     TooFewOnsets)
+from .errors import FrameTooLong, FrameTooShort, NotEnoughPeaks
 
 # Windows per block of energy's prefix sums, or frame_len if longer, so
 # the overlap each block re-reads costs at most one block: O(n) in all.
@@ -210,9 +209,8 @@ def find_onsets(signal: AudioSignal, k: int, frame_ms: float,
 
 
 def intervals(onsets: OnsetList) -> IntervalSequence:
-    """Milliseconds between the starting points of consecutive onsets."""
-    if len(onsets) < 2:
-        raise TooFewOnsets(f"need >= 2 onsets, got {len(onsets)}")
+    """Milliseconds between the starting points of consecutive onsets;
+    none for fewer than two onsets."""
     scale = 1000.0 / onsets.sample_rate
     deltas = tuple((b2 - b1) * scale
                    for b1, b2 in zip(onsets.onsets, onsets.onsets[1:]))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .audio import AudioSignal, ms_to_samples
 from .errors import OnsetOutOfRange, UnknownPair
-from .keylog import SPACE, KeystrokeEvent, TypingSession
+from .keylog import SPACE, KeystrokeEvent
 
 # Key hold time written into synthetic logs; only press times matter.
 _RELEASE_MS = 60.0
@@ -64,7 +64,7 @@ class TypistProfile:
 
 @dataclass(frozen=True)
 class SessionSynthesis:
-    session: TypingSession
+    events: tuple              # KeystrokeEvents, as parse_keylog returns
     word_onsets_ms: tuple      # per word, onsets relative to the word start
 
 
@@ -111,7 +111,7 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
         events.append(KeystrokeEvent(SPACE, t, t + _RELEASE_MS))
         cursor = t + _WORD_GAP_MS
 
-    return SessionSynthesis(session=TypingSession(events=tuple(events)),
+    return SessionSynthesis(events=tuple(events),
                             word_onsets_ms=tuple(word_onsets))
 
 

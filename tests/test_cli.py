@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -521,6 +523,76 @@ class TestModelInspect:
         assert res.returncode == 64
 
 
+# SHA-256 of every output of the README quick start run with no random
+# draw (--pair-std 0, --noise-std 0), so numpy releases cannot differ.
+QUICK_START_DIGESTS = {
+    "demo/ground_truth.json":
+        "adef19a5aac124a4944f3b035067331ef99b76d1074b96984c252216e3f11ea5",
+    "demo/keylog.csv":
+        "cd741100c1cd8d568e0f694c4b750340d62fe2543a62df5d148e2b27b2a2cc7d",
+    "demo/model.json":
+        "76105e6ecc8582dadd075a750f9b2ad0e665cb05622b972f38831e5e2876fb1e",
+    "demo/onsets.csv":
+        "2e87ec6ff912979a4f017fcd386f6d5b6852c875a1f6d871b63a9e8a4f0e4047",
+    "demo/report/by_length.csv":
+        "2092e51931f5997fd6e2756f24991ae3201658408f0329ea0447b39a74f21e12",
+    "demo/report/report.json":
+        "56a0acfa3d19050b65f68a1c6ac4a3c6c32709d2f8614b51d0750ec3ea2fa38c",
+    "demo/word_000_work.wav":
+        "89e7f2fbc08a0a186a38f76d9ece7b435f99a52facca5e567ce912a69beda2bc",
+    "demo/word_001_mother.wav":
+        "d3bad89aa14c7fc884d5d40ecb8db402730ca54c68994ebf503f8dc21e8079cb",
+    "demo/word_002_credit.wav":
+        "60dc18af87f65a28fcf7bc59f1a9e55cf3e8aa85af31d1ecc570e105cdbfb983",
+    "stdout of train":
+        "3462b48839947c74743a309444bd55331b1176ea2a20618064b8e4a6688323fb",
+    "stdout of predict":
+        "4c7a03f2c9a663a0678eef8293f7609a609c92a6b3bccb2e556301f8b290c7f2",
+    "stdout of predict --json":
+        "0726eb76bb44543c8639d96606c30fa13eff9bd4234d59b55f2c669a3b2646ed",
+    "stdout of model-inspect":
+        "f27d3061efc3e2e7f5104854361905c4e5d38ae5af13bab06e3b0940b59688ef",
+}
+
+
+def test_quick_start_outputs_are_byte_identical(tmp_path):
+    # Every path is relative to tmp_path: predict --json and report.json
+    # record the lexicon's path as given.
+    shutil.copy(LEXICON_PATH, tmp_path / "lexicon.txt")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+    def stdout_of(*args):
+        res = run_cli(*args, cwd=tmp_path, env=env)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    predict = ["predict", "demo/word_000_work.wav", "--model",
+               "demo/model.json", "--lexicon", "lexicon.txt", "--k", "4"]
+    stdout_of("synth", "--words", "work,mother,credit", "--seed", "7",
+              "--pair-std", "0", "--noise-std", "0", "--out", "demo")
+    stdouts = {
+        "train": stdout_of("train", "demo/keylog.csv",
+                           "--out", "demo/model.json"),
+        "predict": stdout_of(*predict),
+        "predict --json": stdout_of(*predict, "--json"),
+        "model-inspect": stdout_of("model-inspect",
+                                   "--model", "demo/model.json"),
+    }
+    stdout_of("segment", "demo/word_000_work.wav", "--k", "4",
+              "--out", "demo/onsets.csv")
+    stdout_of("eval", "--words", "work,love,cat,book", "--lexicon",
+              "lexicon.txt", "--out", "demo/report", "--pair-std", "0",
+              "--seed", "3")
+    digests = {f"stdout of {name}": hashlib.sha256(text.encode()).hexdigest()
+               for name, text in stdouts.items()}
+    for path in (tmp_path / "demo").rglob("*.*"):
+        digests[path.relative_to(tmp_path).as_posix()] = \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == QUICK_START_DIGESTS
+
+
 PREDICT_DEFAULTS = {"frame_ms": 100.0, "min_gap_ms": 100.0,
                     "tolerance_pct": 0.05, "std_coeff": 1.0}
 
@@ -600,7 +672,7 @@ def test_keyecho_log_level(workspace, level, code):
 # new error class has to join one of these two lists.
 PIPELINE_FAILURES = {
     errors.FrameTooLong, errors.FrameTooShort, errors.NotEnoughPeaks,
-    errors.TooFewOnsets, errors.NoCandidates, errors.CandidateExplosion,
+    errors.NoCandidates, errors.CandidateExplosion,
 }
 INPUT_ERRORS = {
     errors.MalformedContainer, errors.UnsupportedEncoding,

@@ -168,6 +168,14 @@ class TestPearson:
     def test_perfect_negative(self):
         assert _pearson([0, 1, 2], [2, 1, 0]) == pytest.approx(-1.0)
 
+    # sum([0.1] * 3) / 3 is not 0.1, so the float variance of [0.1] * 3
+    # is not 0.
+    def test_identical_x_with_inexact_mean_is_nan(self):
+        assert math.isnan(_pearson([0.1] * 3, [0.2, 0.5, 0.9]))
+
+    def test_constant_y_with_inexact_mean_is_zero(self):
+        assert _pearson([0.2, 0.5, 0.9], [0.1] * 3) == 0.0
+
 
 class TestAsdSweep:
     def test_noisier_typist_scores_no_better(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from keyecho.errors import MalformedRow
 from keyecho.keylog import (ALPHABET, ENTER, HEADER, OTHER, PAIR_CODE, PAIRS,
-                            SPACE, KeystrokeEvent, TypingSession, is_word,
+                            SPACE, KeystrokeEvent, is_word,
                             parse_keylog, session_to_pairs, write_keylog)
 from keyecho.lexicon import make_lexicon
 from keyecho.model import train
@@ -29,17 +29,17 @@ class TestParseKeylog:
             "o,300,390,79,24,0,0",
             "p,700,805,80,25,0,0",
         ])
-        session = parse_keylog(path)
-        assert [e.key for e in session.events] == ["t", "o", "p"]
-        assert [e.press_ms for e in session.events] == [0, 300, 700]
+        events = parse_keylog(path)
+        assert [e.key for e in events] == ["t", "o", "p"]
+        assert [e.press_ms for e in events] == [0, 300, 700]
 
     def test_rows_sorted_by_press_time(self, tmp_path):
         path = write_log(tmp_path, [
             "o,300,390,79,24,0,0",
             "t,0,80,84,20,0,0",
         ])
-        session = parse_keylog(path)
-        assert [e.key for e in session.events] == ["t", "o"]
+        events = parse_keylog(path)
+        assert [e.key for e in events] == ["t", "o"]
 
     def test_release_before_press(self, tmp_path):
         path = write_log(tmp_path, ["t,100,50,84,20,0,0"])
@@ -80,8 +80,8 @@ class TestParseKeylog:
             ",600,650,13,0,0,0",   # VK 13 = enter
             ",900,950,112,0,0,0",  # VK 112 = F1
         ])
-        session = parse_keylog(path)
-        assert [e.key for e in session.events] == ["t", "SPACE", "ENTER", "OTHER"]
+        events = parse_keylog(path)
+        assert [e.key for e in events] == ["t", "SPACE", "ENTER", "OTHER"]
 
     def test_uppercase_and_named_keys_canonicalized(self, tmp_path):
         path = write_log(tmp_path, [
@@ -89,80 +89,75 @@ class TestParseKeylog:
             "Space,200,250,32,0,0,0",
             "F5,400,450,116,0,0,0",
         ])
-        session = parse_keylog(path)
-        assert [e.key for e in session.events] == ["t", "SPACE", "OTHER"]
-        assert session.events[0].shift is True
+        events = parse_keylog(path)
+        assert [e.key for e in events] == ["t", "SPACE", "OTHER"]
 
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes((HEAD + "\r\nt,0,80,84,20,0,0\r\n").encode())
-        assert [e.key for e in parse_keylog(path).events] == ["t"]
+        assert [e.key for e in parse_keylog(path)] == ["t"]
 
     def test_write_parse_roundtrip(self, tmp_path):
-        session = TypingSession(events=(
+        events = (
             KeystrokeEvent("t", 0, 80),
-            KeystrokeEvent("o", 300.5, 390, shift=True),
+            KeystrokeEvent("o", 300.5, 390),
             KeystrokeEvent("SPACE", 700, 760),
-        ))
+        )
         path = tmp_path / "rt.csv"
-        write_keylog(path, session)
-        back = parse_keylog(path)
-        assert [(e.key, e.press_ms, e.shift) for e in back.events] == \
-               [("t", 0, False), ("o", 300.5, True), ("SPACE", 700, False)]
+        write_keylog(path, events)
+        assert parse_keylog(path) == events
 
     def test_write_parse_roundtrip_keeps_every_digit(self, tmp_path):
         times = [1e-7, 0.1 + 0.2, 123456.789, 1437302.884988707]
-        session = TypingSession(events=tuple(
-            KeystrokeEvent("t", t, t + 60.0) for t in times))
+        events = tuple(KeystrokeEvent("t", t, t + 60.0) for t in times)
         path = tmp_path / "exact.csv"
-        write_keylog(path, session)
+        write_keylog(path, events)
         back = parse_keylog(path)
-        assert [(e.press_ms, e.release_ms) for e in back.events] == \
+        assert [(e.press_ms, e.release_ms) for e in back] == \
                [(t, t + 60.0) for t in times]
 
     def test_times_that_g_format_keeps_are_written_in_g_form(self, tmp_path):
-        session = TypingSession(events=(KeystrokeEvent("t", 300.5, 360.5),
-                                        KeystrokeEvent("o", 1e6, 1e6 + 60)))
+        events = (KeystrokeEvent("t", 300.5, 360.5),
+                  KeystrokeEvent("o", 1e6, 1e6 + 60))
         path = tmp_path / "short.csv"
-        write_keylog(path, session)
+        write_keylog(path, events)
         assert path.read_text().splitlines()[1:] == [
             "t,300.5,360.5,84,0,0,0", "o,1e+06,1.00006e+06,79,0,0,0"]
 
 
 class TestSessionToPairs:
     def test_press_time_differences(self):
-        session = TypingSession(events=(
+        events = (
             KeystrokeEvent("t", 0, 80),
             KeystrokeEvent("o", 300, 390),
             KeystrokeEvent("p", 700, 805),
-        ))
-        assert session_to_pairs(session) == [("t", "o", 300), ("o", "p", 400)]
+        )
+        assert session_to_pairs(events) == [("t", "o", 300), ("o", "p", 400)]
 
     def test_single_event(self):
-        session = TypingSession(events=(KeystrokeEvent("t", 0, 80),))
-        assert session_to_pairs(session) == []
+        assert session_to_pairs((KeystrokeEvent("t", 0, 80),)) == []
 
     def test_boundary_breaks_pair(self):
-        session = TypingSession(events=(
+        events = (
             KeystrokeEvent("t", 0, 80),
             KeystrokeEvent("SPACE", 200, 260),
             KeystrokeEvent("o", 500, 580),
-        ))
-        assert session_to_pairs(session) == []
+        )
+        assert session_to_pairs(events) == []
 
     def test_pair_count_bound_and_positive_deltas(self):
         events = tuple(KeystrokeEvent("a", 100 * i, 100 * i + 50)
                        for i in range(10))
-        pairs = session_to_pairs(TypingSession(events=events))
+        pairs = session_to_pairs(events)
         assert len(pairs) <= len(events) - 1
         assert all(d > 0 for _, _, d in pairs)
 
     def test_simultaneous_presses_dropped(self):
-        session = TypingSession(events=(
+        events = (
             KeystrokeEvent("t", 0, 80),
             KeystrokeEvent("o", 0, 90),
-        ))
-        assert session_to_pairs(session) == []
+        )
+        assert session_to_pairs(events) == []
 
 
 class TestKeyCodes:
@@ -185,11 +180,10 @@ class TestKeyCodes:
     def test_virtual_codes_round_trip_with_the_key_column_blank(self,
                                                                  tmp_path):
         keys = list(ALPHABET) + [SPACE, ENTER, OTHER]
-        session = TypingSession(events=tuple(
-            KeystrokeEvent(key, 100.0 * i, 100.0 * i + 50)
-            for i, key in enumerate(keys)))
+        events = tuple(KeystrokeEvent(key, 100.0 * i, 100.0 * i + 50)
+                       for i, key in enumerate(keys))
         path = tmp_path / "log.csv"
-        write_keylog(path, session)
+        write_keylog(path, events)
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         codes = [int(row[3]) for row in rows[1:]]
@@ -198,7 +192,7 @@ class TestKeyCodes:
             row[0] = ""
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        assert [e.key for e in parse_keylog(path).events] == keys
+        assert [e.key for e in parse_keylog(path)] == keys
 
 
 def reference_is_word(text):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal, load_wav
 from keyecho.errors import KeyEchoError
-from keyecho.keylog import HEADER, TypingSession, parse_keylog
+from keyecho.keylog import HEADER, KeystrokeEvent, parse_keylog
 from keyecho.model import TimingModel, load_model, save_model, train
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -122,9 +122,10 @@ def keylog_texts(draw):
 def test_parse_keylog_loads_or_raises_keyecho_error(fuzz_dir, text):
     path = fuzz_dir / "log.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    session = _load_or_keyecho_error(parse_keylog, path)
-    if session is not None:
-        assert isinstance(session, TypingSession)
+    events = _load_or_keyecho_error(parse_keylog, path)
+    if events is not None:
+        assert isinstance(events, tuple)
+        assert all(isinstance(ev, KeystrokeEvent) for ev in events)
 
 
 # --- load_model ---

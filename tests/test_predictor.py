@@ -346,7 +346,7 @@ class TestPredict:
         signal = synth.synth_audio(onsets, profile, 1000,
                                    onsets[-1] + 300.0)
         from keyecho.keylog import session_to_pairs
-        model = train(session_to_pairs(syn.session))
+        model = train(session_to_pairs(syn.events))
         lex = make_lexicon({"top", "work"})
         return model, signal, lex
 

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal, load_wav
-from keyecho.errors import (FrameTooLong, FrameTooShort, NotEnoughPeaks,
-                            TooFewOnsets)
+from keyecho.errors import FrameTooLong, FrameTooShort, NotEnoughPeaks
 from keyecho.segmenter import (EnergyArray, OnsetList, energy,
                                extract_segments, intervals, pick_onsets)
 
@@ -382,8 +381,7 @@ class TestIntervals:
 
     def test_too_few(self):
         lst = OnsetList((5,), frame_len=1, sample_rate=1000)
-        with pytest.raises(TooFewOnsets):
-            intervals(lst)
+        assert intervals(lst).deltas == ()
 
     def test_deltas_sum_to_span(self):
         rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from keyecho.errors import OnsetOutOfRange, UnknownPair
-from keyecho.keylog import session_to_pairs
+from keyecho.keylog import CODE, session_to_pairs
 from keyecho.model import train
 from keyecho.segmenter import energy, pick_onsets
 from keyecho.synth import (MAX_PAIR_MS, TypistProfile, synth_audio,
@@ -23,7 +23,7 @@ class TestSynthSession:
     def test_zero_variance_presses(self):
         syn = synth_session(basic_profile(), ["top"])
         assert syn.word_onsets_ms[0] == (0.0, 300.0, 700.0)
-        letters = [e for e in syn.session.events if e.is_letter]
+        letters = [e for e in syn.events if e.key in CODE]
         assert [e.key for e in letters] == ["t", "o", "p"]
         assert [e.press_ms for e in letters] == [0.0, 300.0, 700.0]
 
@@ -41,9 +41,9 @@ class TestSynthSession:
 
     def test_words_separated_by_space(self):
         syn = synth_session(basic_profile(), ["top", "top"])
-        keys = [e.key for e in syn.session.events]
+        keys = [e.key for e in syn.events]
         assert keys == ["t", "o", "p", "SPACE", "t", "o", "p", "SPACE"]
-        assert session_to_pairs(syn.session) == [
+        assert session_to_pairs(syn.events) == [
             ("t", "o", 300.0), ("o", "p", 400.0),
             ("t", "o", 300.0), ("o", "p", 400.0),
         ]
@@ -51,7 +51,7 @@ class TestSynthSession:
     def test_truncation_is_rare_and_reported(self):
         profile = basic_profile(std=80.0, seed=3)
         syn = synth_session(profile, ["top"] * 500)
-        deltas = [d for _, _, d in session_to_pairs(syn.session)]
+        deltas = [d for _, _, d in session_to_pairs(syn.events)]
         # Press-time differences round, so a clamped interval reads back
         # within a hair of burst_ms + 1.
         floor = profile.burst_ms + 1
@@ -135,7 +135,7 @@ class TestRoundTrips:
         std = 20.0
         profile = basic_profile(std=std, seed=12)
         syn = synth_session(profile, ["top"] * n)
-        model = train(session_to_pairs(syn.session))
+        model = train(session_to_pairs(syn.events))
         bound = 3 * std / math.sqrt(n)
         for pair, mean in profile.pair_means.items():
             stats = model.stats[pair]
