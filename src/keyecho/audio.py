@@ -60,6 +60,10 @@ class AudioSignal:
 # at any rate a WAV header can declare (below 2^32 Hz).
 MAX_MS = 1000.0 * 2**32
 
+# The highest rate write_wav can store: the header's 32-bit byte rate
+# field holds 2 bytes per sample times the rate.
+MAX_WAV_RATE = (2**32 - 1) // 2
+
 
 def ms_to_samples(t_ms: float, rate: int) -> int:
     """Round a millisecond duration to a whole number of samples."""
@@ -172,10 +176,13 @@ def load_wav(path) -> AudioSignal:
 
 def write_wav(path, signal: AudioSignal) -> None:
     """Write a 16-bit PCM mono WAV. Inverse of load_wav for 16-bit input."""
+    rate = signal.sample_rate
+    if rate > MAX_WAV_RATE:
+        raise UnsupportedEncoding(f"{path}: sample rate {rate} Hz is above "
+                                  f"the {MAX_WAV_RATE} Hz a 16-bit WAV holds")
     clipped = np.clip(signal.samples, -1.0, 1.0)
     ints = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
     raw = ints.tobytes()
-    rate = signal.sample_rate
     header = b"".join([
         b"RIFF", struct.pack("<I", 36 + len(raw)), b"WAVE",
         b"fmt ", struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, rate,

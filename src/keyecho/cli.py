@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import evaluation, predictor, segmenter, synth
-from .audio import MAX_MS, AudioSignal, load_wav, write_wav
+from .audio import MAX_MS, MAX_WAV_RATE, AudioSignal, load_wav, write_wav
 from .errors import KeyEchoError, PipelineFailure
 from .evaluation import SweepSettings
 from .keylog import is_word, parse_keylog, session_to_pairs, write_keylog
@@ -212,7 +212,7 @@ def cmd_predict(audio, model, lexicon, k, json, frame_ms, min_gap_ms,
               type=_FiniteRange(),
               help="Spacing between distinct pair means, ms.")
 @click.option("--sample-rate", default=8000, show_default=True,
-              type=click.IntRange(min=1))
+              type=click.IntRange(min=1, max=MAX_WAV_RATE))
 @click.pass_context
 def cmd_synth(ctx, words, out, seed, pair_std, noise_std, base_ms, spacing_ms,
               sample_rate):

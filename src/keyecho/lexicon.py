@@ -37,9 +37,6 @@ class Lexicon:
     _by_length: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def of_length(self, n: int) -> LengthIndex:
         """The LengthIndex of the words of n >= 2 letters, cached."""
         index = self._by_length.get(n)

@@ -23,8 +23,6 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class PairStats:
-    key_a: str
-    key_b: str
     mean_ms: float
     std_ms: float
     count: int
@@ -69,7 +67,7 @@ def train(pairs) -> TimingModel:
         mean = math.fsum(deltas) / n
         squares = math.fsum((d - mean) ** 2 for d in deltas)
         std = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
-        stats[PAIRS[code]] = PairStats(*PAIRS[code], mean, std, n)
+        stats[PAIRS[code]] = PairStats(mean, std, n)
         pair_means[code] = mean
 
     repeated = [s.std_ms for s in stats.values() if s.count >= 2]
@@ -105,9 +103,9 @@ def save_model(model: TimingModel, path) -> None:
             {"a": a, "b": b, "delta_ms": d} for a, b, d in model.observations
         ],
         "analysis": [
-            {"a": s.key_a, "b": s.key_b, "mean_ms": s.mean_ms,
-             "std_ms": s.std_ms, "count": s.count}
-            for s in model.stats.values()
+            {"a": a, "b": b, "mean_ms": s.mean_ms, "std_ms": s.std_ms,
+             "count": s.count}
+            for (a, b), s in model.stats.items()
         ],
         "asd_ms": model.asd_ms,
     }
@@ -132,6 +130,8 @@ def load_model(path) -> TimingModel:
 
     Every number must be a JSON number, count and version integers; NaN
     and Infinity, which JSON itself does not allow, are a SchemaMismatch.
+    A pair that the analysis lists twice is a ConsistencyFailure, even
+    when both rows agree.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -152,10 +152,14 @@ def load_model(path) -> TimingModel:
                           (doc["analysis"], "std_ms"), ([doc], "asd_ms")):
             _json_numbers(rows, key)
         _json_numbers(doc["analysis"], "count", (int,))
-        stored = {(row["a"], row["b"]): PairStats(
-                      row["a"], row["b"], float(row["mean_ms"]),
-                      float(row["std_ms"]), row["count"])
-                  for row in doc["analysis"]}
+        stored = {}
+        for row in doc["analysis"]:
+            pair = row["a"], row["b"]
+            if pair in stored:
+                raise ConsistencyFailure(
+                    f"{path}: analysis table lists pair {pair} twice")
+            stored[pair] = PairStats(float(row["mean_ms"]),
+                                     float(row["std_ms"]), row["count"])
         asd_ms = float(doc["asd_ms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None

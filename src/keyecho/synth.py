@@ -1,13 +1,15 @@
 """Synthetic typist: keystroke logs and click audio with known ground truth.
 
 A TypistProfile holds per-pair interval means, one interval std shared
-by every pair, and the click shape. Everything is seeded; the same seed
-and task index give byte-identical output, so end-to-end runs are
-reproducible. Generated files use the same keylog CSV and 16-bit WAV
-formats as real captures.
+by every pair, and the background noise level. Every click has one fixed
+shape, the class constants TypistProfile.burst_ms and burst_amp.
+Everything is seeded; the same seed and task index give byte-identical
+output, so end-to-end runs are reproducible. Generated files use the
+same keylog CSV and 16-bit WAV formats as real captures.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,9 +23,8 @@ _RELEASE_MS = 60.0
 _WORD_GAP_MS = 1000.0
 # Silence after the last click of a synthesized word, ms.
 _TAIL_MS = 200.0
-# Largest pair mean, interval std and click length, ms. No typist pauses
-# 10 s inside a word, and the bound keeps every drawn interval and recording
-# length finite.
+# Largest pair mean and interval std, ms. No typist pauses 10 s inside a
+# word, and the bound keeps every drawn interval and recording length finite.
 MAX_PAIR_MS = 10_000.0
 # profile_for_words' default smallest pair mean and step between means, ms.
 # synth's --base-ms and --spacing-ms default to them too, so synth and eval
@@ -36,21 +37,17 @@ SPACING_MS = 5.0
 class TypistProfile:
     pair_means: dict = field(repr=False)   # (key_a, key_b) -> mean interval ms
     std_ms: float = 0.0                    # interval std of every pair
-    burst_ms: float = 100.0
-    burst_amp: float = 0.9
     noise_std: float = 0.0
     seed: int = 0
+    # Every click: length ms and peak amplitude at its onset.
+    burst_ms: ClassVar[float] = 100.0
+    burst_amp: ClassVar[float] = 0.9
 
     def __post_init__(self):
-        if not 0 < self.burst_amp <= 1:
-            raise ValueError(f"burst_amp must be in (0, 1], got {self.burst_amp}")
         # Written so that NaN, which fails every comparison, is rejected.
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and nonnegative, "
                              f"got {self.noise_std}")
-        if not 0 <= self.burst_ms <= MAX_PAIR_MS:
-            raise ValueError(f"burst_ms must be in [0, {MAX_PAIR_MS}] ms, "
-                             f"got {self.burst_ms}")
         for pair, mean in self.pair_means.items():
             if not self.burst_ms < mean <= MAX_PAIR_MS:
                 raise ValueError(

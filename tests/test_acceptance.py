@@ -103,7 +103,7 @@ def test_criterion_3_tree_oracle_equivalence():
 
         t_fs = [tolerance(model, d, pct, std_coeff) for d in deltas]
         ok_pairs = [
-            {(s.key_a, s.key_b) for s in model.stats.values()
+            {pair for pair, s in model.stats.items()
              if s.mean_ms - t_f <= delta <= s.mean_ms + t_f}
             for delta, t_f in zip(deltas, t_fs)
         ]

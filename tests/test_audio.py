@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from keyecho.audio import AudioSignal, load_wav, ms_to_samples, write_wav
+from keyecho.audio import (MAX_WAV_RATE, AudioSignal, load_wav,
+                           ms_to_samples, write_wav)
 from keyecho.errors import EmptySignal, MalformedContainer, UnsupportedEncoding
 
 from conftest import make_wav_bytes, pcm_frames
@@ -141,6 +142,16 @@ class TestLoadWav:
         back = load_wav(path)
         assert back.sample_rate == 22050
         assert np.array_equal(back.samples, sig.samples)
+
+    def test_rate_past_the_header_byte_rate_is_rejected(self, tmp_path):
+        # The byte rate, 2 * rate, must fit in 32 unsigned bits.
+        path = tmp_path / "max.wav"
+        write_wav(path, AudioSignal(np.array([0.5]), MAX_WAV_RATE))
+        assert load_wav(path).sample_rate == MAX_WAV_RATE == 2**31 - 1
+        with pytest.raises(UnsupportedEncoding, match="sample rate"):
+            write_wav(tmp_path / "over.wav", AudioSignal(np.array([0.5]),
+                                                         2**31))
+        assert not (tmp_path / "over.wav").exists()
 
 
 class TestMsToSamples:

@@ -254,6 +254,7 @@ BAD_OPTIONS = [
     ("eval", "--words", "x"),
     ("eval", "--words", "can't"),
     ("synth", "--sample-rate", "0"),
+    ("synth", "--sample-rate", "2147483648"),   # past a 16-bit WAV header
     ("synth", "--pair-std", "-5"),
     ("synth", "--pair-std", "inf"),
     ("synth", "--pair-std", "1e300"),
@@ -350,6 +351,22 @@ def test_segments_dir_that_is_a_file_exit_two(workspace, tmp_path):
                   "--segments-dir", taken)
     assert res.returncode == 2
     assert f"cannot write {taken}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_segment_at_a_rate_no_16_bit_wav_stores_exit_two(tmp_path):
+    # load_wav reads any 32-bit rate; write_wav's byte rate, twice the
+    # rate, overflows past 2^31 - 1 Hz.
+    frames = np.linspace(0, 16000, 100).astype("<i2").tobytes()
+    raw = bytearray(make_wav_bytes(frames, rate=1000))
+    raw[24:28] = (3_000_000_000).to_bytes(4, "little")
+    wav = tmp_path / "hi.wav"
+    wav.write_bytes(raw)
+    res = run_cli("segment", wav, "--k", "1", "--frame-ms", "0.00001",
+                  "--min-gap-ms", "0", "--out", tmp_path / "o.csv",
+                  "--segments-dir", tmp_path / "segs")
+    assert res.returncode == 2
+    assert "Error: " in res.stderr and "3000000000 Hz" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -524,7 +541,8 @@ class TestModelInspect:
 
 
 # SHA-256 of every output of the README quick start run with no random
-# draw (--pair-std 0, --noise-std 0), so numpy releases cannot differ.
+# draw (--pair-std 0, --noise-std 0), so numpy releases cannot differ,
+# plus segment's per-keystroke WAVs and a two-level sweep at std 0.
 QUICK_START_DIGESTS = {
     "demo/ground_truth.json":
         "adef19a5aac124a4944f3b035067331ef99b76d1074b96984c252216e3f11ea5",
@@ -538,6 +556,16 @@ QUICK_START_DIGESTS = {
         "2092e51931f5997fd6e2756f24991ae3201658408f0329ea0447b39a74f21e12",
     "demo/report/report.json":
         "56a0acfa3d19050b65f68a1c6ac4a3c6c32709d2f8614b51d0750ec3ea2fa38c",
+    "demo/segments/segment_000.wav":
+        "e244234c11ab2b5b1ad4043a6ab6f7abc12fb731bf73a103ba5d5cea63c5d4a5",
+    "demo/segments/segment_001.wav":
+        "e244234c11ab2b5b1ad4043a6ab6f7abc12fb731bf73a103ba5d5cea63c5d4a5",
+    "demo/segments/segment_002.wav":
+        "e244234c11ab2b5b1ad4043a6ab6f7abc12fb731bf73a103ba5d5cea63c5d4a5",
+    "demo/segments/segment_003.wav":
+        "e244234c11ab2b5b1ad4043a6ab6f7abc12fb731bf73a103ba5d5cea63c5d4a5",
+    "demo/sweep/asd_sweep.csv":
+        "a5b8d860c81ac0a6c5fb442b2f8fe8306cec838bf54be40b1abf6ad99814cbc0",
     "demo/word_000_work.wav":
         "89e7f2fbc08a0a186a38f76d9ece7b435f99a52facca5e567ce912a69beda2bc",
     "demo/word_001_mother.wav":
@@ -581,10 +609,13 @@ def test_quick_start_outputs_are_byte_identical(tmp_path):
                                    "--model", "demo/model.json"),
     }
     stdout_of("segment", "demo/word_000_work.wav", "--k", "4",
-              "--out", "demo/onsets.csv")
+              "--out", "demo/onsets.csv", "--segments-dir", "demo/segments")
     stdout_of("eval", "--words", "work,love,cat,book", "--lexicon",
               "lexicon.txt", "--out", "demo/report", "--pair-std", "0",
               "--seed", "3")
+    stdout_of("eval", "--words", "work,love,cat,book", "--lexicon",
+              "lexicon.txt", "--out", "demo/sweep", "--pair-std", "0",
+              "--pair-std", "0", "--seed", "3")
     digests = {f"stdout of {name}": hashlib.sha256(text.encode()).hexdigest()
                for name, text in stdouts.items()}
     for path in (tmp_path / "demo").rglob("*.*"):

@@ -25,7 +25,7 @@ class TestLoadLexicon:
         for word in study_words:
             assert word in small_lexicon.words
         assert "work" in small_lexicon.words
-        assert len(small_lexicon) == 121  # 21 study words + 100 decoys
+        assert len(small_lexicon.words) == 121  # 21 study words + 100 decoys
 
     def test_duplicates_collapse(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -48,7 +48,7 @@ class TestLoadLexicon:
 
 
 class TestMakeLexicon:
-    def test_keeps_words_of_letters_and_counts_the_rest(self):
+    def test_keeps_only_words_of_letters(self):
         lex = make_lexicon({"t1p", "Top", "tép"})
         assert lex.words == {"top"}
 
@@ -71,6 +71,6 @@ class TestMakeLexicon:
         lex = make_lexicon(["straße", "ab1", "two words", " top "])
         assert lex.words == {"top"}
 
-    def test_blank_entries_are_skipped_not_counted(self):
+    def test_blank_entries_are_skipped(self):
         lex = make_lexicon(["", "  ", "\t", "top", ""])
         assert lex.words == {"top"}

@@ -171,9 +171,9 @@ def model_texts(draw):
         doc = {"version": 1,
                "observations": [{"a": a, "b": b, "delta_ms": d}
                                 for a, b, d in model.observations],
-               "analysis": [{"a": s.key_a, "b": s.key_b, "mean_ms": s.mean_ms,
+               "analysis": [{"a": a, "b": b, "mean_ms": s.mean_ms,
                              "std_ms": s.std_ms, "count": s.count}
-                            for s in model.stats.values()],
+                            for (a, b), s in model.stats.items()],
                "asd_ms": model.asd_ms}
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text)))]

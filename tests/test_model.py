@@ -38,7 +38,7 @@ def train_by_key_pair(pairs):
         mean = math.fsum(deltas) / n
         std = (math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / (n - 1))
                if n > 1 else 0.0)
-        stats[(key_a, key_b)] = PairStats(key_a, key_b, mean, std, n)
+        stats[(key_a, key_b)] = PairStats(mean, std, n)
     means = np.full(26 * 26, np.nan)
     for (key_a, key_b), s in stats.items():
         means[26 * ALPHABET.index(key_a) + ALPHABET.index(key_b)] = s.mean_ms
@@ -184,8 +184,8 @@ class TestCandidates:
         allowed = set("abct")
         got = candidates(model, delta, t_f, first_keys(allowed))
         want = sorted(
-            pair_code(s.key_a, s.key_b) for s in model.stats.values()
-            if s.key_a in allowed and abs(s.mean_ms - delta) <= t_f
+            pair_code(a, b) for (a, b), s in model.stats.items()
+            if a in allowed and abs(s.mean_ms - delta) <= t_f
         )
         assert got.tolist() == want
 
@@ -236,6 +236,41 @@ class TestPersistence:
         doc["asd_ms"] = 0.5
         path.write_text(json.dumps(doc))
         with pytest.raises(ConsistencyFailure):
+            load_model(path)
+
+    def test_pair_listed_twice_detected(self, tmp_path):
+        # A disagreeing row for ab before the true one.
+        path = tmp_path / "model.json"
+        save_model(train([("a", "b", 100.0), ("a", "b", 110.0)]), path)
+        doc = json.loads(path.read_text())
+        doc["analysis"].insert(0, dict(doc["analysis"][0], mean_ms=999,
+                                       count=7))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConsistencyFailure, match=r"\('a', 'b'\) twice"):
+            load_model(path)
+
+    @given(pairs=alphabet_pair_lists.filter(bool), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_analysis_rows_load_in_any_order_but_each_once(
+            self, tmp_path_factory, pairs, data):
+        model = train(pairs)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        rows = doc["analysis"] = data.draw(st.permutations(doc["analysis"]))
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert (back.stats, back.asd_ms) == (model.stats, model.asd_ms)
+
+        # One row again, with any of its numbers changed or none, placed
+        # before or after the original.
+        row = data.draw(st.sampled_from(rows))
+        changes = data.draw(st.fixed_dictionaries({}, optional={
+            "mean_ms": st.floats(1.0, 2000.0), "std_ms": st.floats(0.0, 100.0),
+            "count": st.integers(1, 9)}))
+        rows.insert(data.draw(st.integers(0, len(rows))), {**row, **changes})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConsistencyFailure, match="twice"):
             load_model(path)
 
     @pytest.mark.parametrize("mutate", [

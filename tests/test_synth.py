@@ -60,36 +60,33 @@ class TestSynthSession:
         assert min(deltas) >= floor
 
     def test_profile_invariants(self):
-        with pytest.raises(ValueError):
-            TypistProfile(pair_means={("a", "b"): 50.0}, burst_ms=100.0)
-        with pytest.raises(ValueError):
-            basic_profile(burst_amp=1.5)
+        # Every pair mean must exceed the 100 ms click.
+        for mean in (50.0, 100.0):
+            with pytest.raises(ValueError, match="burst 100.0 ms"):
+                TypistProfile(pair_means={("a", "b"): mean})
+        # The click is a class constant, not a setting.
+        with pytest.raises(TypeError):
+            TypistProfile(pair_means={}, burst_ms=50.0)
         for std in (-1.0, MAX_PAIR_MS + 1, float("nan")):
             with pytest.raises(ValueError, match="std_ms"):
                 basic_profile(std=std)
         for noise in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_std"):
                 basic_profile(noise_std=noise)
-        # With no pair means, no mean check bounds the click either.
-        for burst in (-50.0, float("nan"), float("inf"), MAX_PAIR_MS + 1):
-            with pytest.raises(ValueError, match="burst_ms"):
-                TypistProfile(pair_means={}, burst_ms=burst)
 
 
 class TestSynthAudio:
     def test_support_exactly_at_onsets(self):
-        profile = basic_profile(burst_ms=50.0)
-        sig = synth_audio([0.0, 300.0, 700.0], profile, 1000, 1000.0)
+        sig = synth_audio([0.0, 300.0, 700.0], basic_profile(), 1000, 1000.0)
         nonzero = np.flatnonzero(sig.samples)
-        expected = np.concatenate([np.arange(0, 50), np.arange(300, 350),
-                                   np.arange(700, 750)])
+        expected = np.concatenate([np.arange(0, 100), np.arange(300, 400),
+                                   np.arange(700, 800)])
         assert np.array_equal(nonzero, expected)
 
     def test_peak_amplitude_at_onset(self):
-        profile = basic_profile(burst_amp=1.0)
-        sig = synth_audio([100.0], profile, 1000, 400.0)
-        assert sig.samples[100] == 1.0
-        assert np.max(np.abs(sig.samples)) == 1.0
+        sig = synth_audio([100.0], basic_profile(), 1000, 400.0)
+        assert sig.samples[100] == 0.9
+        assert np.max(np.abs(sig.samples)) == 0.9
 
     def test_empty_onsets_is_silence(self):
         sig = synth_audio([], basic_profile(), 1000, 500.0)
@@ -110,11 +107,11 @@ class TestSynthAudio:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_word_audio_ends_200_ms_after_the_last_click(self):
-        profile = basic_profile(burst_ms=50.0, noise_std=0.05, seed=4)
+        profile = basic_profile(noise_std=0.05, seed=4)
         sig = word_audio([0.0, 300.0], profile, 1000, task=2)
-        assert len(sig.samples) == 300 + 50 + 200
+        assert len(sig.samples) == 300 + 100 + 200
         assert np.array_equal(
-            sig.samples, synth_audio([0.0, 300.0], profile, 1000, 550.0,
+            sig.samples, synth_audio([0.0, 300.0], profile, 1000, 600.0,
                                      task=2).samples)
 
 
@@ -122,7 +119,7 @@ class TestRoundTrips:
     def test_onset_recovery_noiseless(self):
         # Burst length equals the analysis frame, so window sums peak
         # exactly at the planted onset.
-        profile = basic_profile(burst_ms=100.0)
+        profile = basic_profile()
         syn = synth_session(profile, ["top"])
         onsets_ms = syn.word_onsets_ms[0]
         sig = synth_audio(onsets_ms, profile, 1000, onsets_ms[-1] + 300.0)
