@@ -57,7 +57,8 @@ class AudioSignal:
 
 # The longest a WAV can play: 2^32 samples at 1 Hz. A frame or gap this
 # long exceeds every recording, and is still a finite number of samples
-# at any rate a WAV header can declare (below 2^32 Hz).
+# at any rate a WAV header can declare (below 2^32 Hz). It also bounds a
+# training interval, so that squared deviations stay finite.
 MAX_MS = 1000.0 * 2**32
 
 # The highest rate write_wav can store: the header's 32-bit byte rate
@@ -74,29 +75,32 @@ def ms_to_samples(t_ms: float, rate: int) -> int:
     return int(t_ms * rate / 1000.0 + 0.5)
 
 
-def _parse_fmt(body: bytes):
+def _parse_fmt(path, body: bytes):
     if len(body) < 16:
-        raise MalformedContainer("fmt chunk shorter than 16 bytes")
+        raise MalformedContainer(f"{path}: fmt chunk shorter than 16 bytes")
     (audio_format, channels, sample_rate, _byte_rate,
      block_align, bits) = struct.unpack("<HHIIHH", body[:16])
     if audio_format == _WAVE_FORMAT_EXTENSIBLE:
         # Sub-format GUID starts with the ordinary format tag.
         if len(body) < 26:
-            raise MalformedContainer("extensible fmt chunk truncated")
+            raise MalformedContainer(f"{path}: extensible fmt chunk truncated")
         audio_format = struct.unpack("<H", body[24:26])[0]
     return audio_format, channels, sample_rate, block_align, bits
 
 
-def _decode(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
+def _decode(path, raw: bytes, audio_format: int, bits: int) -> np.ndarray:
     if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
-            raise UnsupportedEncoding(f"{bits}-bit float WAV not supported")
+            raise UnsupportedEncoding(
+                f"{path}: {bits}-bit float WAV not supported")
         samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
-            raise MalformedContainer("float WAV holds NaN or infinite samples")
+            raise MalformedContainer(
+                f"{path}: float WAV holds NaN or infinite samples")
         return np.clip(samples, -1.0, 1.0)
     if audio_format != _WAVE_FORMAT_PCM:
-        raise UnsupportedEncoding(f"compressed WAV (format tag 0x{audio_format:04x})")
+        raise UnsupportedEncoding(
+            f"{path}: compressed WAV (format tag 0x{audio_format:04x})")
     # Each full scale is a power of two, so multiplying the integers by its
     # exact reciprocal converts and scales in one step, with the same bits
     # as converting first and dividing.
@@ -114,7 +118,7 @@ def _decode(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
         return vals * (1 / (1 << 23))
     if bits == 32:
         return np.frombuffer(raw, dtype="<i4") * (1 / (1 << 31))
-    raise UnsupportedEncoding(f"{bits}-bit PCM not supported")
+    raise UnsupportedEncoding(f"{path}: {bits}-bit PCM not supported")
 
 
 def load_wav(path) -> AudioSignal:
@@ -136,7 +140,7 @@ def load_wav(path) -> AudioSignal:
                 f"{len(body)} present"
             )
         if chunk_id == b"fmt ":
-            fmt = _parse_fmt(body)
+            fmt = _parse_fmt(path, body)
         elif chunk_id == b"data":
             raw = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -164,7 +168,7 @@ def load_wav(path) -> AudioSignal:
     if len(raw) == 0:
         raise EmptySignal(f"{path}: zero data frames")
 
-    samples = _decode(raw, audio_format, bits)
+    samples = _decode(path, raw, audio_format, bits)
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     signal = AudioSignal(samples=samples, sample_rate=sample_rate)

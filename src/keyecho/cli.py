@@ -10,8 +10,8 @@ it cannot read; any other OSError comes from an output, and main() alone
 maps it to 2, so no write site needs a guard of its own.
 Each command echoes its parsed parameters, under their parameter names,
 as a JSON run_config line on stderr before it runs.
-Set KEYECHO_LOG=DEBUG (or INFO, WARNING, ...) for log verbosity; a name
-that is not a level is a usage error.
+KEYECHO_LOG (DEBUG, INFO, WARNING, ...) sets the logging level, though
+nothing logs yet; a name that is not a level is a usage error.
 """
 
 import csv

@@ -40,28 +40,17 @@ class NotEnoughPeaks(PipelineFailure):
     """Fewer distinguishable energy peaks than requested keystrokes."""
 
 
-# --- keylog ---
+# --- keylog and model rows ---
 
 class MalformedRow(KeyEchoError):
-    """Keystroke log row has the wrong shape or unparsable values."""
+    """A keystroke-log row or training observation that cannot be used."""
 
 
-# --- model ---
-
-class NonPositiveDelta(KeyEchoError):
-    """Training observation with a non-positive interval."""
-
-
-class NonFiniteDelta(KeyEchoError):
-    """Training observation whose interval is NaN or infinite."""
-
-
-class NonLetterKey(KeyEchoError):
-    """Training observation whose key is not one of the letters a-z."""
-
+# --- model files ---
 
 class SchemaMismatch(KeyEchoError):
-    """Model file is missing fields or has an unknown version."""
+    """Model file with a missing field, an unknown version, a value of the
+    wrong type, or an observation that train cannot use."""
 
 
 class ConsistencyFailure(KeyEchoError):

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConsistencyFailure, NonFiniteDelta, NonLetterKey,
-                     NonPositiveDelta, SchemaMismatch)
+from .audio import MAX_MS
+from .errors import ConsistencyFailure, MalformedRow, SchemaMismatch
 from .keylog import PAIR_CODE, PAIRS
 
 MODEL_VERSION = 1
@@ -32,9 +32,9 @@ class PairStats:
 class TimingModel:
     observations: tuple                  # raw (key_a, key_b, delta_ms) rows
     stats: dict = field(repr=False)      # (key_a, key_b) -> PairStats
-    asd_ms: float = 0.0
+    asd_ms: float
     # mean_ms by pair code (see keylog.PAIR_CODE), NaN if never seen
-    pair_means: np.ndarray = field(default=None, compare=False, repr=False)
+    pair_means: np.ndarray = field(compare=False, repr=False)
 
 
 def train(pairs) -> TimingModel:
@@ -42,8 +42,9 @@ def train(pairs) -> TimingModel:
 
     Means and stds use math.fsum, so the result is exactly invariant under
     permutation of the input. Std is the n-1 sample form, 0 for singletons.
-    Every key must be a letter a-z (NonLetterKey) and every interval
-    positive and finite; the first bad row decides the error.
+    A row is used only when both keys are letters a-z and its interval
+    lies in (0, MAX_MS], which keeps every square below 2e25; the first
+    row that is not raises MalformedRow, naming that row.
     """
     observations = []
     groups = {}
@@ -51,12 +52,14 @@ def train(pairs) -> TimingModel:
         try:
             code = PAIR_CODE[key_a, key_b]
         except KeyError:
-            raise NonLetterKey(f"pair ({key_a!r}, {key_b!r}) has a key "
-                               f"that is not a letter a-z") from None
+            raise MalformedRow(f"observation ({key_a!r}, {key_b!r}, "
+                               f"{delta_ms!r}): a key is not a letter a-z"
+                               ) from None
         delta_ms = float(delta_ms)
-        if not 0 < delta_ms < math.inf:
-            error = NonPositiveDelta if delta_ms <= 0 else NonFiniteDelta
-            raise error(f"pair ({key_a},{key_b}) has interval {delta_ms} ms")
+        if not 0 < delta_ms <= MAX_MS:
+            raise MalformedRow(f"observation ({key_a!r}, {key_b!r}, "
+                               f"{delta_ms!r}): interval not in "
+                               f"(0, {MAX_MS:.0f}] ms")
         observations.append((key_a, key_b, delta_ms))
         groups.setdefault(code, []).append(delta_ms)
 
@@ -130,8 +133,9 @@ def load_model(path) -> TimingModel:
 
     Every number must be a JSON number, count and version integers; NaN
     and Infinity, which JSON itself does not allow, are a SchemaMismatch.
-    A pair that the analysis lists twice is a ConsistencyFailure, even
-    when both rows agree.
+    An observation that train cannot use is a SchemaMismatch. A pair that
+    the analysis lists twice is a ConsistencyFailure, even when both rows
+    agree. Every error names the file.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -163,14 +167,14 @@ def load_model(path) -> TimingModel:
         asd_ms = float(doc["asd_ms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
+    # A key missing, unhashable or not a letter, an interval out of range,
+    # or an integer delta_ms past float range.
     try:
         rebuilt = train((row["a"], row["b"], row["delta_ms"])
                         for row in doc["observations"])
-    except (KeyError, TypeError, NonLetterKey) as exc:  # missing, unhashable
-        raise SchemaMismatch(                           # or not a letter
-            f"{path}: malformed observation key: {exc}") from None
-    except OverflowError as exc:   # an integer delta_ms past float range
-        raise SchemaMismatch(f"{path}: malformed row: {exc!r}") from None
+    except (KeyError, TypeError, OverflowError, MalformedRow) as exc:
+        raise SchemaMismatch(f"{path}: malformed observation key or "
+                             f"interval: {exc!r}") from None
     if stored != rebuilt.stats:
         raise ConsistencyFailure(
             f"{path}: analysis table disagrees with recomputation from observations"

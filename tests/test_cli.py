@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,61 @@ def test_float_wav_with_nan_exit_two(workspace, tmp_path, command):
     assert "Traceback" not in res.stderr
 
 
+def _wav_with_fmt(fmt: bytes) -> bytes:
+    """A RIFF/WAVE file of one fmt chunk holding fmt and 8 data bytes."""
+    chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"data" + struct.pack("<I", 8) + bytes(8))
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.mark.parametrize("fmt,reason", [
+    (struct.pack("<HHIIHH", 0x55, 1, 8000, 16000, 2, 16),
+     "compressed WAV (format tag 0x0055)"),
+    (struct.pack("<HHIIHH", 3, 1, 8000, 64000, 8, 64),
+     "64-bit float WAV not supported"),
+    (bytes(14), "fmt chunk shorter than 16 bytes"),
+    (struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 12), "12-bit samples"),
+    (struct.pack("<HHIIHHH", 0xFFFE, 1, 8000, 16000, 2, 16, 22),
+     "extensible fmt chunk truncated"),
+], ids=["compressed", "float64", "short-fmt", "pcm12", "extensible-short"])
+def test_unreadable_wav_format_names_the_file(tmp_path, fmt, reason):
+    wav = tmp_path / "x.wav"
+    wav.write_bytes(_wav_with_fmt(fmt))
+    res = run_cli("segment", wav, "--k", "1", "--out", tmp_path / "o.csv")
+    assert res.returncode == 2
+    assert f"Error: {wav}: {reason}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_keylog_intervals_near_the_float_maximum_exit_two(tmp_path):
+    # Their squared deviations overflowed a float before train bounded
+    # every interval by MAX_MS.
+    log = tmp_path / "log.csv"
+    log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,shift\n"
+                   "a,0,0,65,0,0,0\n"
+                   "b,1.7e308,1.7e308,66,0,0,0\n"
+                   "SPACE,1.7e308,1.7e308,32,0,0,0\n"
+                   "a,1.7e308,1.7e308,65,0,0,0\n"
+                   "b,1.79e308,1.79e308,66,0,0,0\n")
+    res = run_cli("train", log, "--out", tmp_path / "m.json")
+    assert res.returncode == 2
+    assert "interval not in" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("delta", ["-5", "1e999", "4294967296001"])
+def test_model_observation_interval_out_of_range_exit_two(tmp_path, delta):
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"version": 1, "asd_ms": 0, "analysis": [], "observations": '
+        f'[{{"a": "a", "b": "b", "delta_ms": {delta}}}]}}')
+    res = run_cli("model-inspect", "--model", model)
+    assert res.returncode == 2
+    assert f"Error: {model}: malformed observation" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_keylog_with_non_finite_time_exit_two(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,shift\n"
@@ -707,8 +763,7 @@ PIPELINE_FAILURES = {
 }
 INPUT_ERRORS = {
     errors.MalformedContainer, errors.UnsupportedEncoding,
-    errors.EmptySignal, errors.MalformedRow, errors.NonPositiveDelta,
-    errors.NonFiniteDelta, errors.NonLetterKey, errors.SchemaMismatch,
+    errors.EmptySignal, errors.MalformedRow, errors.SchemaMismatch,
     errors.ConsistencyFailure, errors.EmptyLexicon, errors.UnknownPair,
     errors.OnsetOutOfRange,
 }

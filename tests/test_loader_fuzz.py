@@ -1,4 +1,6 @@
-"""Fuzzing of the three file loaders: each input loads or is a KeyEchoError.
+"""Fuzzing of the three file loaders: each input loads or is a KeyEchoError;
+a model file that does not load is a SchemaMismatch or a ConsistencyFailure
+that names the file.
 
 Anything else (a TypeError, a struct.error, a csv.Error ...) would end a
 CLI run in a traceback instead of a documented exit code.
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal, load_wav
-from keyecho.errors import KeyEchoError
+from keyecho.errors import ConsistencyFailure, KeyEchoError, SchemaMismatch
 from keyecho.keylog import HEADER, KeystrokeEvent, parse_keylog
 from keyecho.model import TimingModel, load_model, save_model, train
 
@@ -162,7 +164,8 @@ pair_lists = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("ab"),
 
 @st.composite
 def model_texts(draw):
-    """Random JSON, near-schema documents, and saved models cut short."""
+    """Random JSON, near-schema documents, and saved models, some with an
+    interval replaced by any float or integer, some cut short."""
     kind = draw(st.sampled_from(["document", "saved", "text"]))
     if kind == "document":
         return json.dumps(draw(documents))
@@ -175,8 +178,13 @@ def model_texts(draw):
                              "std_ms": s.std_ms, "count": s.count}
                             for (a, b), s in model.stats.items()],
                "asd_ms": model.asd_ms}
+        if doc["observations"] and draw(st.booleans()):
+            row = draw(st.sampled_from(doc["observations"]))
+            row["delta_ms"] = draw(st.one_of(st.floats(), st.integers()))
         text = json.dumps(doc)
-        return text[:draw(st.integers(0, len(text)))]
+        if draw(st.booleans()):
+            text = text[:draw(st.integers(0, len(text)))]
+        return text
     return draw(st.text(max_size=40))
 
 
@@ -185,8 +193,11 @@ def model_texts(draw):
 def test_load_model_loads_or_raises_keyecho_error(fuzz_dir, text):
     path = fuzz_dir / "model.json"
     path.write_text(text, encoding="utf-8")
-    model = _load_or_keyecho_error(load_model, path)
-    if model is not None:
-        assert isinstance(model, TimingModel)
-        save_model(model, fuzz_dir / "again.json")
-        assert load_model(fuzz_dir / "again.json") == model
+    try:
+        model = load_model(path)
+    except (SchemaMismatch, ConsistencyFailure) as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert isinstance(model, TimingModel)
+    save_model(model, fuzz_dir / "again.json")
+    assert load_model(fuzz_dir / "again.json") == model

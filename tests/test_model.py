@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyecho.errors import (ConsistencyFailure, NonFiniteDelta,
-                            NonLetterKey, NonPositiveDelta, SchemaMismatch)
-from keyecho.keylog import ALPHABET
+from keyecho.audio import MAX_MS
+from keyecho.errors import ConsistencyFailure, MalformedRow, SchemaMismatch
+from keyecho.keylog import ALPHABET, CODE
 from keyecho.model import (PairStats, TimingModel, candidates, load_model,
                            save_model, tolerance, train)
 
@@ -69,29 +69,55 @@ class TestTrain:
         assert model.asd_ms == 0.0
 
     def test_non_positive_delta(self):
-        with pytest.raises(NonPositiveDelta):
+        with pytest.raises(MalformedRow, match="interval not in"):
             train([("a", "b", 0.0)])
-        with pytest.raises(NonPositiveDelta):
+        with pytest.raises(MalformedRow, match="interval not in"):
             train([("a", "b", -5.0)])
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, "inf", "nan"])
     def test_non_finite_delta(self, delta):
-        with pytest.raises(NonFiniteDelta):
+        with pytest.raises(MalformedRow, match="interval not in"):
             train([("a", "b", 200.0), ("b", "c", delta)])
-        with pytest.raises(NonPositiveDelta):
+        with pytest.raises(MalformedRow, match="interval not in"):
             train([("a", "b", -math.inf)])
+
+    @pytest.mark.parametrize("delta", [math.nextafter(MAX_MS, math.inf),
+                                       1.7e308])
+    def test_delta_above_max_ms(self, delta):
+        # The bound keeps (delta - mean)**2 finite; 1.7e308 overflowed it.
+        with pytest.raises(MalformedRow, match="interval not in"):
+            train([("a", "b", delta), ("a", "b", 1.0)])
 
     @pytest.mark.parametrize("key", ["1", "A", "é", "sh", "", 5])
     def test_non_letter_key(self, key):
         for pair in [(key, "b", 100), ("a", key, 100)]:
-            with pytest.raises(NonLetterKey):
+            with pytest.raises(MalformedRow, match="not a letter a-z"):
                 train([("a", "b", 100), pair])
 
     def test_first_bad_row_decides_the_error(self):
-        with pytest.raises(NonLetterKey):
+        with pytest.raises(MalformedRow, match=r"\('A', 'b', 100\)"):
             train([("A", "b", 100), ("a", "b", -5)])
-        with pytest.raises(NonPositiveDelta):
+        with pytest.raises(MalformedRow, match=r"\('a', 'b', -5.0\)"):
             train([("a", "b", -5), ("A", "b", 100)])
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(ALPHABET), st.text(max_size=2)),
+        st.sampled_from(ALPHABET),
+        st.one_of(st.floats(), st.sampled_from(
+            [1.79e308, 1.7e308, MAX_MS, math.nextafter(MAX_MS, math.inf)]))),
+        max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_trains_or_raises_malformed_row(self, pairs):
+        # Any floats, near the float maximum too: a model or MalformedRow,
+        # and MalformedRow exactly when some row breaks the rule.
+        usable = all(a in CODE and 0 < d <= MAX_MS for a, _, d in pairs)
+        try:
+            model = train(pairs)
+        except MalformedRow:
+            assert not usable
+        else:
+            assert usable
+            assert math.isfinite(model.asd_ms)
 
     @given(st.one_of(pair_lists, alphabet_pair_lists))
     @settings(max_examples=100, deadline=None)
@@ -305,7 +331,8 @@ class TestPersistence:
     def test_save_refuses_non_finite(self, tmp_path):
         # Only a hand-built model can hold one; train rejects them.
         model = TimingModel(observations=(("a", "b", math.nan),), stats={},
-                            asd_ms=math.inf)
+                            asd_ms=math.inf,
+                            pair_means=np.full(26 * 26, np.nan))
         with pytest.raises(ValueError, match="JSON compliant"):
             save_model(model, tmp_path / "model.json")
 
@@ -319,7 +346,7 @@ class TestPersistence:
             load_model(path)
 
     @pytest.mark.parametrize("field,literal,error", [
-        ("delta_ms", "1e999", NonFiniteDelta),
+        ("delta_ms", "1e999", SchemaMismatch),
         ("delta_ms", "1" + "0" * 400, SchemaMismatch),
         ("mean_ms", "1e999", ConsistencyFailure),
         ("mean_ms", "1" + "0" * 400, SchemaMismatch)])
