@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySignal, MalformedContainer, UnsupportedEncoding
+from .errors import WavFormatError
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -77,13 +77,13 @@ def ms_to_samples(t_ms: float, rate: int) -> int:
 
 def _parse_fmt(path, body: bytes):
     if len(body) < 16:
-        raise MalformedContainer(f"{path}: fmt chunk shorter than 16 bytes")
+        raise WavFormatError(f"{path}: fmt chunk shorter than 16 bytes")
     (audio_format, channels, sample_rate, _byte_rate,
      block_align, bits) = struct.unpack("<HHIIHH", body[:16])
     if audio_format == _WAVE_FORMAT_EXTENSIBLE:
         # Sub-format GUID starts with the ordinary format tag.
         if len(body) < 26:
-            raise MalformedContainer(f"{path}: extensible fmt chunk truncated")
+            raise WavFormatError(f"{path}: extensible fmt chunk truncated")
         audio_format = struct.unpack("<H", body[24:26])[0]
     return audio_format, channels, sample_rate, block_align, bits
 
@@ -91,15 +91,14 @@ def _parse_fmt(path, body: bytes):
 def _decode(path, raw: bytes, audio_format: int, bits: int) -> np.ndarray:
     if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
-            raise UnsupportedEncoding(
-                f"{path}: {bits}-bit float WAV not supported")
+            raise WavFormatError(f"{path}: {bits}-bit float WAV not supported")
         samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
-            raise MalformedContainer(
+            raise WavFormatError(
                 f"{path}: float WAV holds NaN or infinite samples")
         return np.clip(samples, -1.0, 1.0)
     if audio_format != _WAVE_FORMAT_PCM:
-        raise UnsupportedEncoding(
+        raise WavFormatError(
             f"{path}: compressed WAV (format tag 0x{audio_format:04x})")
     # Each full scale is a power of two, so multiplying the integers by its
     # exact reciprocal converts and scales in one step, with the same bits
@@ -118,14 +117,14 @@ def _decode(path, raw: bytes, audio_format: int, bits: int) -> np.ndarray:
         return vals * (1 / (1 << 23))
     if bits == 32:
         return np.frombuffer(raw, dtype="<i4") * (1 / (1 << 31))
-    raise UnsupportedEncoding(f"{path}: {bits}-bit PCM not supported")
+    raise WavFormatError(f"{path}: {bits}-bit PCM not supported")
 
 
 def load_wav(path) -> AudioSignal:
     """Read a PCM or float WAV file as a normalized mono AudioSignal."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedContainer(f"{path}: not a RIFF/WAVE file")
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     raw = None
@@ -135,7 +134,7 @@ def load_wav(path) -> AudioSignal:
         (size,) = struct.unpack("<I", data[pos + 4:pos + 8])
         body = data[pos + 8:pos + 8 + size]
         if len(body) < size:
-            raise MalformedContainer(
+            raise WavFormatError(
                 f"{path}: chunk {chunk_id!r} declares {size} bytes, "
                 f"{len(body)} present"
             )
@@ -146,27 +145,27 @@ def load_wav(path) -> AudioSignal:
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise MalformedContainer(f"{path}: missing fmt chunk")
+        raise WavFormatError(f"{path}: missing fmt chunk")
     if raw is None:
-        raise MalformedContainer(f"{path}: missing data chunk")
+        raise WavFormatError(f"{path}: missing data chunk")
 
     audio_format, channels, sample_rate, block_align, bits = fmt
     if sample_rate <= 0:
-        raise MalformedContainer(f"{path}: nonsensical sample rate {sample_rate}")
+        raise WavFormatError(f"{path}: nonsensical sample rate {sample_rate}")
     if channels not in (1, 2):
-        raise UnsupportedEncoding(f"{path}: {channels} channels (want 1 or 2)")
+        raise WavFormatError(f"{path}: {channels} channels (want 1 or 2)")
     bytes_per_sample = bits // 8
     if bits % 8 != 0 or bytes_per_sample == 0:
-        raise UnsupportedEncoding(f"{path}: {bits}-bit samples")
+        raise WavFormatError(f"{path}: {bits}-bit samples")
     frame_size = bytes_per_sample * channels
     if block_align not in (0, frame_size):
-        raise MalformedContainer(
+        raise WavFormatError(
             f"{path}: block align {block_align} != frame size {frame_size}"
         )
     if len(raw) % frame_size != 0:
-        raise MalformedContainer(f"{path}: data size not a multiple of frame size")
+        raise WavFormatError(f"{path}: data size not a multiple of frame size")
     if len(raw) == 0:
-        raise EmptySignal(f"{path}: zero data frames")
+        raise WavFormatError(f"{path}: zero data frames")
 
     samples = _decode(path, raw, audio_format, bits)
     if channels == 2:
@@ -182,8 +181,8 @@ def write_wav(path, signal: AudioSignal) -> None:
     """Write a 16-bit PCM mono WAV. Inverse of load_wav for 16-bit input."""
     rate = signal.sample_rate
     if rate > MAX_WAV_RATE:
-        raise UnsupportedEncoding(f"{path}: sample rate {rate} Hz is above "
-                                  f"the {MAX_WAV_RATE} Hz a 16-bit WAV holds")
+        raise WavFormatError(f"{path}: sample rate {rate} Hz is above "
+                             f"the {MAX_WAV_RATE} Hz a 16-bit WAV holds")
     clipped = np.clip(signal.samples, -1.0, 1.0)
     ints = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
     raw = ints.tobytes()

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+A class exists only when some caller handles it differently from its
+siblings; a bad argument to a function is a ValueError.
+"""
 
 
 class KeyEchoError(Exception):
@@ -14,26 +18,16 @@ class PipelineFailure(KeyEchoError):
 
 # --- audio ---
 
-class MalformedContainer(KeyEchoError):
-    """WAV file has a broken RIFF/fmt/data structure."""
-
-
-class UnsupportedEncoding(KeyEchoError):
-    """WAV file uses a codec or layout we do not accept."""
-
-
-class EmptySignal(KeyEchoError):
-    """WAV file contains zero data frames."""
+class WavFormatError(KeyEchoError):
+    """A WAV that load_wav cannot read, or a rate a 16-bit WAV header
+    cannot hold."""
 
 
 # --- segmenter ---
 
-class FrameTooLong(PipelineFailure):
-    """Sliding-window frame exceeds the signal length."""
-
-
-class FrameTooShort(PipelineFailure):
-    """Sliding-window frame rounds to no samples at the signal's rate."""
+class FrameOutOfRange(PipelineFailure):
+    """Sliding-window frame shorter than one sample at the signal's rate,
+    or longer than the signal."""
 
 
 class NotEnoughPeaks(PipelineFailure):
@@ -83,13 +77,3 @@ class CandidateExplosion(PipelineFailure):
 
 class EmptyLexicon(KeyEchoError):
     """Word list contained no usable entries."""
-
-
-# --- synth ---
-
-class UnknownPair(KeyEchoError):
-    """Requested word uses a key pair absent from the typist profile."""
-
-
-class OnsetOutOfRange(KeyEchoError):
-    """Requested click onset does not fit inside the output signal."""

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import MAX_MS
 from .errors import MalformedRow
 
 SPACE = "SPACE"
@@ -85,7 +86,8 @@ def _rows(reader, path):
 
 def parse_keylog(path) -> tuple:
     """Read a keystroke CSV as a tuple of KeystrokeEvents sorted by press
-    time; the caps and shift columns are not read."""
+    time; the caps and shift columns are not read. Every time lies in
+    [0, MAX_MS], so each interval of session_to_pairs is one train takes."""
     path = Path(path)
     events = []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -113,6 +115,8 @@ def parse_keylog(path) -> tuple:
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from None
             if not (math.isfinite(press_ms) and math.isfinite(release_ms)):
                 raise MalformedRow(f"{path}:{lineno}: non-finite time")
+            if max(press_ms, release_ms) > MAX_MS:
+                raise MalformedRow(f"{path}:{lineno}: time above {MAX_MS:.0f} ms")
             if press_ms < 0:
                 raise MalformedRow(f"{path}:{lineno}: negative press time")
             if release_ms < press_ms:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioSignal, ms_to_samples
-from .errors import FrameTooLong, FrameTooShort, NotEnoughPeaks
+from .errors import FrameOutOfRange, NotEnoughPeaks
 
 # Windows per block of energy's prefix sums, or frame_len if longer, so
 # the overlap each block re-reads costs at most one block: O(n) in all.
@@ -116,10 +116,10 @@ def energy(signal: AudioSignal, frame_len: int) -> EnergyArray:
     """
     n = len(signal)
     if frame_len <= 0:
-        raise FrameTooShort(f"frame of {frame_len} samples at "
-                            f"{signal.sample_rate} Hz; need at least 1")
+        raise FrameOutOfRange(f"frame of {frame_len} samples at "
+                              f"{signal.sample_rate} Hz; need at least 1")
     if frame_len > n:
-        raise FrameTooLong(f"frame_len {frame_len} exceeds signal length {n}")
+        raise FrameOutOfRange(f"frame_len {frame_len} exceeds signal length {n}")
 
     # |x| of the whole signal at once, so the frame_len - 1 samples each
     # block shares with the next are not converted twice.

@@ -14,7 +14,6 @@ from typing import ClassVar
 import numpy as np
 
 from .audio import AudioSignal, ms_to_samples
-from .errors import OnsetOutOfRange, UnknownPair
 from .keylog import SPACE, KeystrokeEvent
 
 # Key hold time written into synthetic logs; only press times matter.
@@ -97,7 +96,7 @@ def synth_session(profile: TypistProfile, words, task: int = 0) -> SessionSynthe
         events.append(KeystrokeEvent(word[0], t, t + _RELEASE_MS))
         for key_a, key_b in zip(word, word[1:]):
             if (key_a, key_b) not in profile.pair_means:
-                raise UnknownPair(f"pair ({key_a},{key_b}) not in profile")
+                raise ValueError(f"pair ({key_a},{key_b}) not in profile")
             draw = rng.normal(profile.pair_means[(key_a, key_b)],
                               profile.std_ms)
             t += max(draw, profile.burst_ms + 1)
@@ -130,7 +129,7 @@ def synth_audio(onsets_ms, profile: TypistProfile, sample_rate: int,
     burst_len = max(1, ms_to_samples(profile.burst_ms, sample_rate))
     for onset in onsets_ms:
         if onset < 0 or onset + profile.burst_ms > total_ms:
-            raise OnsetOutOfRange(
+            raise ValueError(
                 f"onset {onset} ms + burst {profile.burst_ms} ms "
                 f"outside [0, {total_ms}] ms"
             )

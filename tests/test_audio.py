@@ -5,7 +5,7 @@ import pytest
 
 from keyecho.audio import (MAX_WAV_RATE, AudioSignal, load_wav,
                            ms_to_samples, write_wav)
-from keyecho.errors import EmptySignal, MalformedContainer, UnsupportedEncoding
+from keyecho.errors import WavFormatError
 
 from conftest import make_wav_bytes, pcm_frames
 
@@ -53,25 +53,25 @@ class TestLoadWav:
     def test_truncated_data_chunk(self, tmp_path):
         frames = struct.pack("<2h", 1, 2)
         raw = make_wav_bytes(frames, declared_size=100)
-        with pytest.raises(MalformedContainer):
+        with pytest.raises(WavFormatError, match="declares 100 bytes"):
             load_wav(_write(tmp_path, raw))
 
     def test_not_riff(self, tmp_path):
-        with pytest.raises(MalformedContainer):
+        with pytest.raises(WavFormatError, match="not a RIFF/WAVE file"):
             load_wav(_write(tmp_path, b"OggS" + b"\0" * 40))
 
     def test_missing_data_chunk(self, tmp_path):
         raw = make_wav_bytes(b"")[:36]  # header + fmt only
-        with pytest.raises(MalformedContainer):
+        with pytest.raises(WavFormatError, match="missing data chunk"):
             load_wav(_write(tmp_path, raw))
 
     def test_zero_frames(self, tmp_path):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(WavFormatError, match="zero data frames"):
             load_wav(_write(tmp_path, make_wav_bytes(b"")))
 
     def test_compressed_codec_rejected(self, tmp_path):
         raw = make_wav_bytes(struct.pack("<2h", 0, 0), audio_format=0x55)  # mp3
-        with pytest.raises(UnsupportedEncoding):
+        with pytest.raises(WavFormatError, match="compressed WAV"):
             load_wav(_write(tmp_path, raw))
 
     def test_8bit_offset_binary(self, tmp_path):
@@ -130,7 +130,7 @@ class TestLoadWav:
     def test_float32_non_finite_rejected(self, tmp_path, bad):
         frames = struct.pack("<3f", 0.25, bad, -0.5)
         raw = make_wav_bytes(frames, bits=32, audio_format=3)
-        with pytest.raises(MalformedContainer, match="NaN or infinite"):
+        with pytest.raises(WavFormatError, match="NaN or infinite"):
             load_wav(_write(tmp_path, raw))
 
     def test_roundtrip_16bit_exact(self, tmp_path):
@@ -148,7 +148,7 @@ class TestLoadWav:
         path = tmp_path / "max.wav"
         write_wav(path, AudioSignal(np.array([0.5]), MAX_WAV_RATE))
         assert load_wav(path).sample_rate == MAX_WAV_RATE == 2**31 - 1
-        with pytest.raises(UnsupportedEncoding, match="sample rate"):
+        with pytest.raises(WavFormatError, match="sample rate"):
             write_wav(tmp_path / "over.wav", AudioSignal(np.array([0.5]),
                                                          2**31))
         assert not (tmp_path / "over.wav").exists()

@@ -462,8 +462,8 @@ def test_unreadable_wav_format_names_the_file(tmp_path, fmt, reason):
 
 
 def test_keylog_intervals_near_the_float_maximum_exit_two(tmp_path):
-    # Their squared deviations overflowed a float before train bounded
-    # every interval by MAX_MS.
+    # Times whose intervals' squared deviations would overflow a float in
+    # train; parse_keylog rejects the first time above MAX_MS.
     log = tmp_path / "log.csv"
     log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,shift\n"
                    "a,0,0,65,0,0,0\n"
@@ -473,7 +473,7 @@ def test_keylog_intervals_near_the_float_maximum_exit_two(tmp_path):
                    "b,1.79e308,1.79e308,66,0,0,0\n")
     res = run_cli("train", log, "--out", tmp_path / "m.json")
     assert res.returncode == 2
-    assert "interval not in" in res.stderr
+    assert f"Error: {log}:3: time above" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "m.json").exists()
 
@@ -498,6 +498,18 @@ def test_keylog_with_non_finite_time_exit_two(tmp_path):
     res = run_cli("train", log, "--out", tmp_path / "m.json")
     assert res.returncode == 2
     assert "non-finite time" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_keylog_time_above_max_ms_exit_two(tmp_path):
+    # No pair to train: the time alone is what is rejected.
+    log = tmp_path / "late.csv"
+    log.write_text("key,press_ms,release_ms,virtual_code,scan_code,caps,shift\n"
+                   "a,5e12,5e12,65,0,0,0\n")
+    res = run_cli("train", log, "--out", tmp_path / "m.json")
+    assert res.returncode == 2
+    assert f"Error: {log}:2: time above 4294967296000 ms" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "m.json").exists()
 
@@ -758,14 +770,12 @@ def test_keyecho_log_level(workspace, level, code):
 # The classes whose failures exit 4; every other KeyEchoError exits 2. A
 # new error class has to join one of these two lists.
 PIPELINE_FAILURES = {
-    errors.FrameTooLong, errors.FrameTooShort, errors.NotEnoughPeaks,
-    errors.NoCandidates, errors.CandidateExplosion,
+    errors.FrameOutOfRange, errors.NotEnoughPeaks, errors.NoCandidates,
+    errors.CandidateExplosion,
 }
 INPUT_ERRORS = {
-    errors.MalformedContainer, errors.UnsupportedEncoding,
-    errors.EmptySignal, errors.MalformedRow, errors.SchemaMismatch,
-    errors.ConsistencyFailure, errors.EmptyLexicon, errors.UnknownPair,
-    errors.OnsetOutOfRange,
+    errors.WavFormatError, errors.MalformedRow, errors.SchemaMismatch,
+    errors.ConsistencyFailure, errors.EmptyLexicon,
 }
 
 
@@ -781,7 +791,7 @@ def test_every_error_class_has_one_exit_family():
     (errors.NotEnoughPeaks("only 1 nonzero peaks available"), 4),
     (errors.NoCandidates(step=2, delta_ms=250.0, t_f=12.5), 4),
     (errors.SchemaMismatch("model.json: missing field 'version'"), 2),
-    (errors.OnsetOutOfRange("onset 9 ms outside [0, 5] ms"), 2),
+    (errors.WavFormatError("x.wav: zero data frames"), 2),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_follows_the_error_family(workspace, tmp_path, monkeypatch,
                                             capsys, exc, code):

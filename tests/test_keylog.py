@@ -1,4 +1,5 @@
 import csv
+import math
 import string
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from keyecho.audio import MAX_MS
 from keyecho.errors import MalformedRow
 from keyecho.keylog import (ALPHABET, ENTER, HEADER, OTHER, PAIR_CODE, PAIRS,
                             SPACE, KeystrokeEvent, is_word,
@@ -62,6 +64,19 @@ class TestParseKeylog:
         path = write_log(tmp_path, [f"t,{press},{release},84,20,0,0"])
         with pytest.raises(MalformedRow, match="non-finite"):
             parse_keylog(path)
+
+    @pytest.mark.parametrize("press,release", [
+        ("5e12", "5e12"), ("0", "1.7e308"),
+        (repr(math.nextafter(MAX_MS, math.inf)),) * 2])
+    def test_time_above_max_ms(self, tmp_path, press, release):
+        path = write_log(tmp_path, ["a,0,80,65,0,0,0",
+                                    f"t,{press},{release},84,20,0,0"])
+        with pytest.raises(MalformedRow, match=":3: time above"):
+            parse_keylog(path)
+
+    def test_time_at_max_ms(self, tmp_path):
+        path = write_log(tmp_path, [f"t,{MAX_MS!r},{MAX_MS!r},84,20,0,0"])
+        assert parse_keylog(path)[0].press_ms == MAX_MS
 
     def test_field_over_csv_limit(self, tmp_path):
         path = write_log(tmp_path, ["t," + "1" * 131073 + ",80,84,20,0,0"])

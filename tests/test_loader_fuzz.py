@@ -1,12 +1,14 @@
 """Fuzzing of the three file loaders: each input loads or is a KeyEchoError;
-a model file that does not load is a SchemaMismatch or a ConsistencyFailure
-that names the file.
+a WAV that does not load is a WavFormatError, and a model file a
+SchemaMismatch or a ConsistencyFailure, that names the file. A keylog that
+loads always trains.
 
 Anything else (a TypeError, a struct.error, a csv.Error ...) would end a
 CLI run in a traceback instead of a documented exit code.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from keyecho.audio import AudioSignal, load_wav
-from keyecho.errors import ConsistencyFailure, KeyEchoError, SchemaMismatch
-from keyecho.keylog import HEADER, KeystrokeEvent, parse_keylog
+from keyecho.audio import MAX_MS, AudioSignal, load_wav
+from keyecho.errors import (ConsistencyFailure, KeyEchoError, MalformedRow,
+                            SchemaMismatch, WavFormatError)
+from keyecho.keylog import HEADER, KeystrokeEvent, parse_keylog, session_to_pairs
 from keyecho.model import TimingModel, load_model, save_model, train
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -91,12 +94,15 @@ def wav_files(draw):
 def test_load_wav_loads_or_raises_keyecho_error(fuzz_dir, raw):
     path = fuzz_dir / "f.wav"
     path.write_bytes(raw)
-    sig = _load_or_keyecho_error(load_wav, path)
-    if sig is not None:
-        assert isinstance(sig, AudioSignal) and len(sig) > 0
-        if sig.grid_bits is not None:
-            scaled = np.ldexp(sig.samples, sig.grid_bits)
-            assert np.array_equal(scaled, np.floor(scaled))
+    try:
+        sig = load_wav(path)
+    except WavFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert isinstance(sig, AudioSignal) and len(sig) > 0
+    if sig.grid_bits is not None:
+        scaled = np.ldexp(sig.samples, sig.grid_bits)
+        assert np.array_equal(scaled, np.floor(scaled))
 
 
 # --- parse_keylog ---
@@ -128,6 +134,29 @@ def test_parse_keylog_loads_or_raises_keyecho_error(fuzz_dir, text):
     if events is not None:
         assert isinstance(events, tuple)
         assert all(isinstance(ev, KeystrokeEvent) for ev in events)
+
+
+times = st.one_of(
+    st.sampled_from([0.0, MAX_MS, math.nextafter(MAX_MS, math.inf), 5e12,
+                     1.7e308, 1.79e308, 1.7976931348623157e308]),
+    st.floats(0, MAX_MS), st.floats(min_value=MAX_MS), st.floats())
+timed_rows = st.tuples(st.sampled_from(["a", "b", "space"]), times,
+                       st.one_of(st.just(0.0), times)).map(
+    lambda r: f"{r[0]},{r[1]!r},{r[1] + r[2]!r},0,0,0,0")
+
+
+@FUZZ
+@given(lines=st.lists(timed_rows, max_size=6))
+def test_a_keylog_that_parses_trains(fuzz_dir, lines):
+    path = fuzz_dir / "timed.csv"
+    path.write_text("\n".join([",".join(HEADER)] + lines), encoding="utf-8")
+    try:
+        events = parse_keylog(path)
+    except MalformedRow:
+        return
+    assert all(0 <= t <= MAX_MS for ev in events
+               for t in (ev.press_ms, ev.release_ms))
+    assert isinstance(train(session_to_pairs(events)), TimingModel)
 
 
 # --- load_model ---

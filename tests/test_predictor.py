@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from keyecho import synth
 from keyecho.audio import MAX_MS, AudioSignal
-from keyecho.errors import CandidateExplosion, FrameTooLong, NoCandidates
+from keyecho.errors import CandidateExplosion, FrameOutOfRange, NoCandidates
 from keyecho.keylog import ALPHABET
 from keyecho.lexicon import make_lexicon
 from keyecho.model import tolerance, train
@@ -477,5 +477,5 @@ class TestPredictSettings:
     def test_longest_frame_is_too_long_not_an_overflow(self):
         model = train([("a", "b", 200.0)])
         signal = AudioSignal(np.zeros(1000), 1000)
-        with pytest.raises(FrameTooLong):
+        with pytest.raises(FrameOutOfRange, match="exceeds signal length"):
             predict(model, signal, 3, PredictSettings(frame_ms=MAX_MS))

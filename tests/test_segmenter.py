@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import AudioSignal, load_wav
-from keyecho.errors import FrameTooLong, FrameTooShort, NotEnoughPeaks
+from keyecho.errors import FrameOutOfRange, NotEnoughPeaks
 from keyecho.segmenter import (EnergyArray, OnsetList, energy,
                                extract_segments, intervals, pick_onsets)
 
@@ -156,7 +156,7 @@ class TestEnergy:
 
     def test_frame_too_long(self):
         sig = AudioSignal(np.zeros(10), 1000)
-        with pytest.raises(FrameTooLong):
+        with pytest.raises(FrameOutOfRange, match="exceeds signal length"):
             energy(sig, 11)
 
     def test_window_count(self):
@@ -183,7 +183,7 @@ class TestEnergy:
 
     def test_empty_frame_is_a_pipeline_error(self):
         sig = AudioSignal(np.zeros(10), 8000)
-        with pytest.raises(FrameTooShort, match="0 samples at 8000 Hz"):
+        with pytest.raises(FrameOutOfRange, match="0 samples at 8000 Hz"):
             energy(sig, 0)
 
     @settings(max_examples=80, deadline=None)
