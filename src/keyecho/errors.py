@@ -67,9 +67,9 @@ class NoCandidates(PipelineFailure):
 
 
 class CandidateExplosion(PipelineFailure):
-    """The intervals admit more candidate words than the search will build.
+    """More candidate words than predictor.enumerate_words will build.
 
-    Counted over the pruned lattice, before any word is built.
+    Raised only there, before any word is built.
     """
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import predictor, synth
-from .errors import CandidateExplosion, NoCandidates, NotEnoughPeaks
+from .errors import NoCandidates, NotEnoughPeaks
 from .keylog import session_to_pairs
 from .lexicon import Lexicon
 from .model import TimingModel, train
@@ -17,8 +17,7 @@ from .synth import TypistProfile
 
 # The pipeline failures a trial counts as a miss, by report.json's kind name.
 _MISS_KINDS = {NoCandidates: "no_candidates",
-               NotEnoughPeaks: "not_enough_peaks",
-               CandidateExplosion: "explosion"}
+               NotEnoughPeaks: "not_enough_peaks"}
 
 
 # The two records declare report.json: its keys are their fields, in order.
@@ -26,7 +25,7 @@ _MISS_KINDS = {NoCandidates: "no_candidates",
 class TrialRecord:
     true_word: str
     hit: bool
-    words_all_count: int
+    words_all_count: int     # MAX_WORDS + 1 for more than MAX_WORDS
     words_dict: tuple
     failure: str = ""        # "" for a trial that ran, else a _MISS_KINDS name
 

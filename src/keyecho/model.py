@@ -95,7 +95,7 @@ def candidates(model: TimingModel, delta_ms: float, t_f: float,
     if t_f < 0:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
     means = model.pair_means.reshape(26, 26)   # NaN compares False
-    match = (means - t_f <= delta_ms) & (delta_ms <= means + t_f)
+    match = np.abs(means - delta_ms) <= t_f
     return np.flatnonzero(match & np.asarray(allowed_first)[:, None])
 
 

@@ -5,8 +5,8 @@ within the tolerance window, held as one 26 x 26 bool mask: mask[a, b] is
 set when the keys coded a and b match. The candidate words are exactly
 the chains of keys through the successive masks. A backward pass drops
 the pairs that cannot reach the last interval and counts the complete
-words, so the search knows how many candidates there are, and gives up on
-an oversized set, without building any word.
+words, saturating one past MAX_WORDS, without building any word. Only
+enumerate_words, which builds them, refuses a lattice past that cap.
 
 The dictionary filter works from the lexicon's side: it takes the
 lexicon words whose first pair is set in the first mask as ranges of the
@@ -29,7 +29,7 @@ from .keylog import ALPHABET
 from .lexicon import Lexicon
 from .model import TimingModel, candidates, tolerance
 
-# Candidate words allowed before build_tree gives up.
+# Candidate words enumerate_words will build; word_count saturates one past.
 MAX_WORDS = 10_000_000
 
 
@@ -38,7 +38,7 @@ class CandidateLattice:
     """One 26 x 26 bool mask per interval, indexed by key codes [a, b].
 
     Every set pair lies on some complete word; word_count is the number
-    of complete words, len(enumerate_words(lattice)).
+    of complete words, exact up to MAX_WORDS and saturated at MAX_WORDS + 1.
     """
     masks: tuple
     word_count: int
@@ -102,8 +102,7 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
 
     The first interval's pairs start from any key; each later interval
     only from a second key of the one before. Raises NoCandidates if an
-    interval matches nothing, and CandidateExplosion if the lattice holds
-    more than MAX_WORDS complete words. No word is built either way.
+    interval matches nothing. No word is built, however many there are.
     """
     if len(deltas) < 1:
         raise ValueError("need at least one interval")
@@ -126,27 +125,27 @@ def build_tree(model: TimingModel, deltas: segmenter.IntervalSequence,
     for mask in reversed(masks):
         mask &= completions > 0
         completions = np.minimum(mask @ completions, MAX_WORDS + 1)
-    # Below the cap no count saturated, so the sum is exact.
-    word_count = int(completions.sum())
-    if word_count > MAX_WORDS:
-        raise CandidateExplosion(
-            f"more than {MAX_WORDS} candidate words over "
-            f"{len(masks)} intervals"
-        )
+    # Exact below the cap, where no count saturated; MAX_WORDS + 1 past it.
+    word_count = min(int(completions.sum()), MAX_WORDS + 1)
     return CandidateLattice(masks=tuple(masks), word_count=word_count)
 
 
 def enumerate_words(lattice: CandidateLattice) -> list:
     """Every chain through the lattice as a word, lexicographically sorted.
 
-    The one place candidate words are built. predict calls it only when
-    no lexicon is given; otherwise a result calls it on the first read of
-    its words_all, so a run that reads only words_dict or the lattice's
-    word_count builds none. Keys are letters (train rejects any other
-    key), so a word's last character is its last key. Words grow from
-    sorted one-key prefixes along each mask's set pairs, read row by row
-    in ascending code order, so each step keeps them sorted.
+    The one place candidate words are built, and the one place that
+    raises CandidateExplosion: past MAX_WORDS words, before building any.
+    predict calls it only when no lexicon is given; otherwise a result
+    calls it on the first read of its words_all, so a run that reads only
+    words_dict or the lattice's word_count builds none, and never fails
+    on their number. Keys are letters (train rejects any other key), so a
+    word's last character is its last key. Words grow from sorted one-key
+    prefixes along each mask's set pairs, read row by row in ascending
+    code order, so each step keeps them sorted.
     """
+    if lattice.word_count > MAX_WORDS:
+        raise CandidateExplosion(f"more than {MAX_WORDS} candidate words over "
+                                 f"{len(lattice.masks)} intervals")
     words = list(ALPHABET)
     for mask in lattice.masks:
         nexts = {}

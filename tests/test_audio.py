@@ -143,6 +143,17 @@ class TestLoadWav:
         assert back.sample_rate == 22050
         assert np.array_equal(back.samples, sig.samples)
 
+    def test_full_scale_sample_does_not_wrap(self, tmp_path):
+        # +1.0 scales to 32768, one past int16: it is written as 32767.
+        path = tmp_path / "loud.wav"
+        write_wav(path, AudioSignal(np.array([1.0, -1.0, 0.0]), 8000))
+        assert np.frombuffer(path.read_bytes()[44:], "<i2").tolist() == \
+               [32767, -32768, 0]
+
+    def test_one_hertz_is_a_rate(self, tmp_path):
+        raw = make_wav_bytes(struct.pack("<3h", 0, 100, -100), rate=1)
+        assert load_wav(_write(tmp_path, raw)).sample_rate == 1
+
     def test_rate_past_the_header_byte_rate_is_rejected(self, tmp_path):
         # The byte rate, 2 * rate, must fit in 32 unsigned bits.
         path = tmp_path / "max.wav"

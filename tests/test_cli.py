@@ -13,6 +13,8 @@ import pytest
 
 from conftest import LEXICON_PATH, make_wav_bytes
 from keyecho import cli, errors, predictor, synth
+from keyecho.audio import write_wav
+from keyecho.model import save_model
 
 CLI = [sys.executable, "-m", "keyecho.cli"]
 
@@ -191,6 +193,24 @@ class TestPredict:
         assert doc["words_dict"] == ["work"]
         assert doc["params"]["k"] == 4
         assert len(doc["onsets_ms"]) == 4
+
+    def test_dense_typist_word_is_predicted_not_refused(self, dense_keystroke,
+                                                        tmp_path):
+        # More than 10^7 candidate words: the lexicon filter answers, and
+        # only --json, which lists them all, exits 4.
+        model, signal, word = dense_keystroke
+        save_model(model, tmp_path / "model.json")
+        write_wav(tmp_path / "word.wav", signal)
+        (tmp_path / "lexicon.txt").write_text(f"{word}\nkeyboards\n")
+        argv = ["predict", tmp_path / "word.wav", "--model",
+                tmp_path / "model.json", "--lexicon", tmp_path / "lexicon.txt",
+                "--k", "9"]
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout) == (0, f"{word}\n"), res.stderr
+        res = run_cli(*argv, "--json")
+        assert (res.returncode, res.stdout) == (4, "")
+        assert "Error: more than 10000000 candidate words" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestSegment:
@@ -546,6 +566,9 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    def test_two_letter_word_is_accepted(self):
+        assert cli._word_list(None, None, "to, cat") == ["to", "cat"]
+
     def test_words_are_lower_cased(self, tmp_path):
         res = run_cli("synth", "--words", " Top ", "--out", tmp_path)
         assert res.returncode == 0, res.stderr
@@ -690,6 +713,30 @@ def test_quick_start_outputs_are_byte_identical(tmp_path):
         digests[path.relative_to(tmp_path).as_posix()] = \
             hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == QUICK_START_DIGESTS
+
+
+# SHA-256 of a synth with interval jitter and background noise, so each of
+# its two seeded random streams is pinned. numpy keeps Generator streams
+# stable in practice, though it does not promise to across releases.
+NOISY_SYNTH_DIGESTS = {
+    "ground_truth.json":
+        "d4f5a88b8b95652b42eb63e7c329212bc4e703cd151b0510e5e4d2771d97b73c",
+    "keylog.csv":
+        "bba32fe71ff6259793b45cc23d91e56ac0ba9bc571567db6c13c6069b48435d3",
+    "word_000_work.wav":
+        "63dd9fb9badbec371609cf44faa327739450192b6bc025d8f5186f24e6d805c9",
+    "word_001_mother.wav":
+        "b7394ac43f57cc41252330f86a0d1e7fe8a97b10851d960933f908c7c8e77dd7",
+}
+
+
+def test_jittered_noisy_synth_is_byte_identical(tmp_path):
+    res = run_cli("synth", "--words", "work,mother", "--seed", "7",
+                  "--pair-std", "10", "--noise-std", "0.05",
+                  "--sample-rate", "8000", "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == NOISY_SYNTH_DIGESTS
 
 
 PREDICT_DEFAULTS = {"frame_ms": 100.0, "min_gap_ms": 100.0,

@@ -7,8 +7,9 @@ import pytest
 
 from keyecho import predictor, synth
 from keyecho.audio import AudioSignal
-from keyecho.evaluation import (SweepSettings, asd_sweep, make_trials,
-                                run_eval, train_from_profile, write_report,
+from keyecho.evaluation import (_MISS_KINDS, SweepSettings, TrialRecord,
+                                asd_sweep, make_trials, run_eval,
+                                train_from_profile, write_report,
                                 write_sweep, _pearson)
 from keyecho.lexicon import make_lexicon
 from keyecho.model import train
@@ -100,6 +101,18 @@ class TestRunEval:
         assert [r.words_all_count for r in report.per_trial] == want
         assert max(want) > 1
 
+    def test_trial_past_the_cap_is_scored(self, dense_keystroke):
+        # More than MAX_WORDS candidates: eval counts them and filters the
+        # lexicon, so the trial runs instead of failing.
+        model, signal, word = dense_keystroke
+        lexicon = make_lexicon({word, "keyboards"})
+        report = run_eval(model, lexicon, [(signal, word)], PredictSettings())
+        assert report.per_trial == (
+            TrialRecord(word, True, predictor.MAX_WORDS + 1, (word,)),)
+        assert report.failures == {}
+        assert sorted(_MISS_KINDS.values()) == ["no_candidates",
+                                                "not_enough_peaks"]
+
     def test_report_files(self, clean_setup, tmp_path):
         model, trials, lexicon = clean_setup
         report = run_eval(model, lexicon, trials, PredictSettings())
@@ -164,6 +177,13 @@ class TestPearson:
 
     def test_constant_y_is_zero_by_convention(self):
         assert _pearson([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) == 0.0
+
+    def test_two_distinct_xs_are_enough(self):
+        assert _pearson([1.0, 2.0], [0.2, 0.8]) == pytest.approx(1.0)
+
+    def test_two_distinct_ys_are_enough(self):
+        assert _pearson([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]) == \
+               pytest.approx(math.sqrt(3) / 2)
 
     def test_perfect_negative(self):
         assert _pearson([0, 1, 2], [2, 1, 0]) == pytest.approx(-1.0)

@@ -78,6 +78,16 @@ class TestParseKeylog:
         path = write_log(tmp_path, [f"t,{MAX_MS!r},{MAX_MS!r},84,20,0,0"])
         assert parse_keylog(path)[0].press_ms == MAX_MS
 
+    # The second case leaves the caps column empty.
+    @pytest.mark.parametrize("row", ["t,0,80,84,x,0,0", "t,0,80,84,x,,0"])
+    def test_scan_code_not_an_integer(self, tmp_path, row):
+        with pytest.raises(MalformedRow, match=":2: invalid literal"):
+            parse_keylog(write_log(tmp_path, [row]))
+
+    def test_empty_virtual_code_beside_a_scan_code(self, tmp_path):
+        events = parse_keylog(write_log(tmp_path, ["t,0,80,,20,0,0"]))
+        assert [e.key for e in events] == ["t"]
+
     def test_field_over_csv_limit(self, tmp_path):
         path = write_log(tmp_path, ["t," + "1" * 131073 + ",80,84,20,0,0"])
         with pytest.raises(MalformedRow, match="field limit"):
@@ -166,6 +176,10 @@ class TestSessionToPairs:
         pairs = session_to_pairs(events)
         assert len(pairs) <= len(events) - 1
         assert all(d > 0 for _, _, d in pairs)
+
+    def test_sub_millisecond_interval_kept(self):
+        events = (KeystrokeEvent("t", 0, 80), KeystrokeEvent("o", 0.5, 90))
+        assert session_to_pairs(events) == [("t", "o", 0.5)]
 
     def test_simultaneous_presses_dropped(self):
         events = (

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import MAX_MS
@@ -168,6 +168,9 @@ class TestTolerance:
         model = train([("t", "o", 300), ("t", "o", 310)])
         assert tolerance(model, 123, 0.0, 0.0) == 0.0
 
+    def test_sub_millisecond_interval(self):
+        assert tolerance(train([]), 0.5, 0.05, 0.0) == 0.025
+
 
 def pair_code(key_a, key_b):
     alphabet = "abcdefghijklmnopqrstuvwxyz"
@@ -213,6 +216,25 @@ class TestCandidates:
             pair_code(a, b) for (a, b), s in model.stats.items()
             if a in allowed and abs(s.mean_ms - delta) <= t_f
         )
+        assert got.tolist() == want
+
+    @given(st.floats(min_value=0.1, max_value=2000),
+           st.floats(min_value=0, max_value=500),
+           st.sampled_from([-1.0, 1.0]), st.integers(-2, 2))
+    # |0.1 - 0.30000000000000004| = 0.20000000000000004, past t_f = 0.2.
+    @example(mean=0.1, t_f=0.2, sign=1.0, steps=0)
+    @settings(max_examples=200, deadline=None)
+    def test_window_edge_is_the_absolute_difference(self, mean, t_f, sign,
+                                                    steps):
+        # The interval at fl(mean +- t_f) and its neighbouring floats, where
+        # |mean - delta| <= t_f and mean - t_f <= delta <= mean + t_f
+        # can round differently.
+        delta = mean + sign * t_f
+        for _ in range(abs(steps)):
+            delta = math.nextafter(delta, math.copysign(math.inf, steps))
+        got = candidates(train([("t", "o", mean)]), delta, t_f,
+                         first_keys(ALPHABET))
+        want = [pair_code("t", "o")] if abs(mean - delta) <= t_f else []
         assert got.tolist() == want
 
 

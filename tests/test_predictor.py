@@ -31,8 +31,8 @@ def naive_words(model, deltas, pct, std_coeff, alphabet):
         s = model.stats.get((a, b))
         if s is None:
             return False
-        t_f = tolerance(model, delta, pct, std_coeff)
-        return s.mean_ms - t_f <= delta <= s.mean_ms + t_f
+        return abs(s.mean_ms - delta) <= tolerance(model, delta, pct,
+                                                   std_coeff)
 
     k = len(deltas) + 1
     return sorted(
@@ -93,30 +93,41 @@ class TestBuildTree:
         assert exc.value.step == 2
 
     def test_explosion_guard(self, monkeypatch):
+        # 216 words past a cap of 10: counted to 11, refused only when listed.
         monkeypatch.setattr("keyecho.predictor.MAX_WORDS", 10)
         pairs = [(a, b, 300) for a in "abcdef" for b in "abcdef"]
         model = train(pairs)
-        with pytest.raises(CandidateExplosion):
-            build_tree(model, IntervalSequence((300, 300)), 0.05, 0.0)
+        lattice = build_tree(model, IntervalSequence((300, 300)), 0.05, 0.0)
+        assert lattice.word_count == 11
+        with pytest.raises(CandidateExplosion, match="more than 10 "):
+            enumerate_words(lattice)
+        lex = make_lexicon({"abc", "fed", "xyz", "ab"})
+        assert filter_dictionary(lattice, lex) == ["abc", "fed"]
 
     @pytest.mark.parametrize("k", [6, 20])
     def test_packed_model_explodes_before_building(self, k):
         # 26**k words (308,915,776 at k=6): the cap is met by a saturating
-        # count, not by building words.
+        # count, and enumerate_words refuses the lattice before building a
+        # word, while the lexicon filter still answers.
         model = train([(a, b, 300.0) for a in ALPHABET for b in ALPHABET])
+        lex = make_lexicon(["q" * k, "q" * (k + 1)])
         tracemalloc.start()
         start = time.perf_counter()
         try:
+            lattice = build_tree(model, IntervalSequence((300.0,) * (k - 1)),
+                                 0.05, 0.0)
             with pytest.raises(CandidateExplosion) as exc:
-                build_tree(model, IntervalSequence((300.0,) * (k - 1)),
-                           0.05, 0.0)
+                enumerate_words(lattice)
+            words = filter_dictionary(lattice, lex)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 10 * 2**20
+        assert lattice.word_count == MAX_WORDS + 1
         assert str(MAX_WORDS) in str(exc.value)
+        assert words == ["q" * k]
 
     def test_cap_counts_complete_words(self, monkeypatch):
         # 36 pairs match the first interval, past the cap of 10, but only
@@ -130,19 +141,28 @@ class TestBuildTree:
         assert words == [x + "az" for x in "abcdef"]
 
     @settings(max_examples=200, deadline=None)
-    @given(lattice_inputs())
-    def test_word_count_matches_naive_oracle(self, inputs):
+    @given(lattice_inputs(), st.integers(0, 60) | st.just(MAX_WORDS))
+    def test_word_count_matches_naive_oracle(self, inputs, cap):
+        # A small cap, or the real one: word_count saturates one past it,
+        # and enumerate_words lists the words exactly when it does not.
         pairs, deltas = inputs
         model = train(pairs)
         keys = sorted({key for pair in model.stats for key in pair})
         words = naive_words(model, deltas, 0.05, 0.0, keys)
-        try:
-            lattice = build_tree(model, IntervalSequence(deltas), 0.05, 0.0)
-        except NoCandidates:
-            assert words == []
-            return
-        assert lattice.word_count == len(enumerate_words(lattice)) == \
-               len(words)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("keyecho.predictor.MAX_WORDS", cap)
+            try:
+                lattice = build_tree(model, IntervalSequence(deltas), 0.05,
+                                     0.0)
+            except NoCandidates:
+                assert words == []
+                return
+            assert lattice.word_count == min(len(words), cap + 1)
+            if len(words) > cap:
+                with pytest.raises(CandidateExplosion):
+                    enumerate_words(lattice)
+            else:
+                assert enumerate_words(lattice) == words
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
@@ -436,6 +456,29 @@ class TestPredict:
         model, signal, lex = setup
         with pytest.raises(ValueError):
             predict(model, signal, 1, PredictSettings(lexicon=lex))
+
+    def test_two_keystrokes_are_enough(self, setup):
+        model, _, _ = setup
+        to = model.stats["t", "o"].mean_ms
+        two = synth.word_audio([0.0, to], synth.TypistProfile(
+            {("t", "o"): to}), 1000)
+        result = predict(model, two, 2,
+                         PredictSettings(lexicon=make_lexicon({"to"})))
+        assert result.words_dict == ("to",)
+
+    def test_lexicon_counts_past_the_cap(self, dense_keystroke):
+        # A dense typist's 9 keystrokes: more than MAX_WORDS candidates,
+        # yet the lexicon filter answers; only listing them fails.
+        model, signal, word = dense_keystroke
+        lex = make_lexicon({word, "keyboards", "ke"})
+        result = predict(model, signal, len(word),
+                         PredictSettings(lexicon=lex))
+        assert result.words_dict == (word,)
+        assert result.lattice.word_count == MAX_WORDS + 1
+        with pytest.raises(CandidateExplosion, match=str(MAX_WORDS)):
+            result.to_json()
+        with pytest.raises(CandidateExplosion, match=str(MAX_WORDS)):
+            predict(model, signal, len(word), PredictSettings())
 
 
 class TestPredictSettings:
