@@ -76,58 +76,51 @@ def _canonical_key(key_field: str, virtual_code: int) -> str:
     return key if key in CODE else _KEY_NAMES.get(key, OTHER)
 
 
-def _rows(reader, path):
-    """The reader's rows; a line csv cannot split is a MalformedRow."""
-    try:
-        yield from reader
-    except csv.Error as exc:  # e.g. a field over csv's 131072-char limit
-        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def parse_keylog(path) -> tuple:
-    """Read a keystroke CSV as a tuple of KeystrokeEvents sorted by press
-    time; the caps and shift columns are not read. Every time lies in
-    [0, MAX_MS], so each interval of session_to_pairs is one train takes."""
+    """Read a keystroke CSV, UTF-8 with or without a byte-order mark, as a
+    tuple of KeystrokeEvents sorted by press time; the caps and shift
+    columns are not read. Every time lies in [0, MAX_MS], so each interval
+    of session_to_pairs is one train takes. Every error names the file and,
+    except for an empty file, the line the CSV reader stopped on."""
     path = Path(path)
     events = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = _rows(csv.reader(fh), path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file, expected header row")
-        if [h.strip().lower() for h in header] != HEADER:
-            raise MalformedRow(f"{path}: bad header {header!r}, expected {HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(HEADER):
-                raise MalformedRow(
-                    f"{path}:{lineno}: {len(row)} columns, expected {len(HEADER)}"
-                )
-            try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(f"{path}: empty file, expected header row")
+            if [h.strip().lower() for h in header] != HEADER:
+                raise ValueError(f"bad header {header!r}, expected {HEADER}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(HEADER):
+                    raise ValueError(
+                        f"{len(row)} columns, expected {len(HEADER)}")
                 press_ms = float(row[1])
                 release_ms = float(row[2])
                 virtual_code = int(row[3]) if row[3].strip() else 0
                 if row[4].strip():
                     int(row[4])  # scan code: validated, not used
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(press_ms) and math.isfinite(release_ms)):
-                raise MalformedRow(f"{path}:{lineno}: non-finite time")
-            if max(press_ms, release_ms) > MAX_MS:
-                raise MalformedRow(f"{path}:{lineno}: time above {MAX_MS:.0f} ms")
-            if press_ms < 0:
-                raise MalformedRow(f"{path}:{lineno}: negative press time")
-            if release_ms < press_ms:
-                raise MalformedRow(
-                    f"{path}:{lineno}: release {release_ms} before press {press_ms}"
-                )
-            events.append(KeystrokeEvent(
-                key=_canonical_key(row[0], virtual_code),
-                press_ms=press_ms,
-                release_ms=release_ms,
-            ))
+                if not (math.isfinite(press_ms) and math.isfinite(release_ms)):
+                    raise ValueError("non-finite time")
+                if max(press_ms, release_ms) > MAX_MS:
+                    raise ValueError(f"time above {MAX_MS:.0f} ms")
+                if press_ms < 0:
+                    raise ValueError("negative press time")
+                if release_ms < press_ms:
+                    raise ValueError(
+                        f"release {release_ms} before press {press_ms}")
+                events.append(KeystrokeEvent(
+                    key=_canonical_key(row[0], virtual_code),
+                    press_ms=press_ms,
+                    release_ms=release_ms,
+                ))
+        except UnicodeDecodeError:
+            raise  # not a bad row: the CLI reports the file as unreadable
+        except (ValueError, csv.Error) as exc:  # e.g. a field over csv's limit
+            raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
     events.sort(key=lambda e: e.press_ms)
     return tuple(events)
 

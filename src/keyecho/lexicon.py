@@ -57,9 +57,10 @@ def make_lexicon(entries, source: str = "") -> Lexicon:
 
 
 def load_lexicon(path) -> Lexicon:
-    """One word per line, kept or dropped as make_lexicon does."""
+    """One word per line of UTF-8 text, which may start with a byte-order
+    mark; each kept or dropped as make_lexicon does."""
     path = Path(path)
-    lexicon = make_lexicon(path.read_text(encoding="utf-8").splitlines(),
+    lexicon = make_lexicon(path.read_text(encoding="utf-8-sig").splitlines(),
                            source=str(path))
     if not lexicon.words:
         raise EmptyLexicon(f"{path}: no usable words")

@@ -135,9 +135,10 @@ def load_model(path) -> TimingModel:
     and Infinity, which JSON itself does not allow, are a SchemaMismatch.
     An observation that train cannot use is a SchemaMismatch. A pair that
     the analysis lists twice is a ConsistencyFailure, even when both rows
-    agree. Every error names the file.
+    agree. Every error names the file. The text is UTF-8, with or without
+    a byte-order mark.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         doc = json.loads(text, parse_constant=_non_finite)
     except (ValueError, RecursionError) as exc:  # or nested too deep

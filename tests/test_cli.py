@@ -124,6 +124,15 @@ class TestPredict:
         assert res.returncode == 0
         assert res.stdout.strip() == "work"
 
+    def test_lexicon_with_byte_order_mark(self, workspace, tmp_path):
+        lex = tmp_path / "bom.txt"
+        lex.write_text("\ufeffwork\nmother\nword", encoding="utf-8")
+        wav = workspace["synth"] / "word_001_work.wav"
+        res = run_cli("predict", wav, "--model", workspace["model"],
+                      "--lexicon", lex, "--k", "4")
+        assert res.returncode == 0
+        assert res.stdout.strip() == "work"
+
     def test_empty_dictionary_result_exit_three(self, workspace, tmp_path):
         lex = tmp_path / "mini.txt"
         lex.write_text("unrelated\n")

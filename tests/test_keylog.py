@@ -1,10 +1,11 @@
 import csv
 import math
+import re
 import string
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyecho.audio import MAX_MS
@@ -95,8 +96,21 @@ class TestParseKeylog:
 
     def test_bad_header(self, tmp_path):
         path = write_log(tmp_path, ["t,0,80,84,20,0,0"], header="a,b,c")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=":1: bad header"):
             parse_keylog(path)
+
+    def test_byte_order_mark_alone_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(MalformedRow) as info:
+            parse_keylog(path)
+        assert str(info.value) == f"{path}: empty file, expected header row"
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + HEAD + "\r\nt,0,80,84,20,0,0\r\n")
+                         .encode())
+        assert [e.key for e in parse_keylog(path)] == ["t"]
 
     def test_virtual_code_fallback(self, tmp_path):
         path = write_log(tmp_path, [
@@ -148,6 +162,38 @@ class TestParseKeylog:
         write_keylog(path, events)
         assert path.read_text().splitlines()[1:] == [
             "t,300.5,360.5,84,0,0,0", "o,1e+06,1.00006e+06,79,0,0,0"]
+
+
+# Key fields, three of them quoted and spanning two or three lines.
+KEY_FIELDS = ["t", "SPACE", '"w\nx"', '"o\r\np"', '"\nk\n"']
+BAD_ROWS = {"non-number": "{},zero,80,84,20,0,0",
+            "negative": "{},-5,80,84,20,0,0",
+            "release first": "{},100,50,84,20,0,0",
+            "columns": "{},0,80,84"}
+
+
+class TestErrorLine:
+    @settings(max_examples=200, deadline=None)
+    @given(good=st.lists(st.tuples(st.sampled_from(KEY_FIELDS),
+                                   st.integers(0, 2)), max_size=5),
+           bad=st.tuples(st.sampled_from(KEY_FIELDS),
+                         st.sampled_from(sorted(BAD_ROWS))),
+           sep=st.sampled_from(["\n", "\r\n"]))
+    @example(good=[('"w\nx"', 0)], bad=("t", "negative"), sep="\n")
+    def test_names_the_last_physical_line_of_the_bad_record(
+            self, tmp_path_factory, good, bad, sep):
+        # Each good row is followed by its count of blank lines.
+        text = HEAD + sep
+        for i, (key, blanks) in enumerate(good):
+            text += f"{key},{100 * i},{100 * i + 50},,,0,0"
+            text += sep * (1 + blanks)
+        text += BAD_ROWS[bad[1]].format(bad[0])
+        line = len(re.findall(r"\r\n|\r|\n", text)) + 1
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_bytes((text + sep + "t,900,950,84,20,0,0" + sep).encode())
+        with pytest.raises(MalformedRow) as info:
+            parse_keylog(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
 
 
 class TestSessionToPairs:

@@ -21,6 +21,11 @@ class TestLoadLexicon:
         with pytest.raises(EmptyLexicon):
             load_lexicon(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("\ufeffwork\nmother\nword", encoding="utf-8")
+        assert load_lexicon(path).words == {"work", "mother", "word"}
+
     def test_shipped_lexicon_has_study_words(self, small_lexicon, study_words):
         for word in study_words:
             assert word in small_lexicon.words

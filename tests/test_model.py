@@ -266,6 +266,13 @@ class TestPersistence:
         back = load_model(path)
         assert back.stats == {} and back.asd_ms == 0.0
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        model = train([("t", "o", 300), ("t", "o", 310), ("o", "p", 400)])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_model(path).stats == model.stats
+
     def test_tampered_mean_detected(self, tmp_path):
         model = train([("t", "o", 305)])
         path = tmp_path / "model.json"
